@@ -19,7 +19,6 @@
 package droidracer_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -196,54 +195,15 @@ func BenchmarkTable3Detection(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelHB measures the column-sharded happens-before closure
-// against the serial engine on the closure-heaviest Table 2 trace (K-9
-// Mail: ~3.5k nodes, ~4.3M pairs). The serial/workers=N ratio is the
-// wall-clock speedup; outputs are byte-identical (TestParallelEquivalence).
-func BenchmarkParallelHB(b *testing.B) {
-	info := analyzeInfo(b, representative(b, "K-9 Mail").Trace)
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(workerLabel(workers), func(b *testing.B) {
-			cfg := hb.DefaultConfig()
-			cfg.Parallelism = workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hb.Build(info, cfg)
-			}
-		})
-	}
-}
-
-// BenchmarkParallelDetect measures the sharded conflict scan on the
-// detection-heaviest Table 2 trace (Flipkart: ~157k ops, 314 racing
-// pairs).
-func BenchmarkParallelDetect(b *testing.B) {
-	info := analyzeInfo(b, representative(b, "Flipkart").Trace)
-	g := hb.Build(info, hb.DefaultConfig())
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(workerLabel(workers), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d := race.NewDetector(g)
-				d.Parallelism = workers
-				races := d.Detect()
-				b.ReportMetric(float64(len(races)), "racing-pairs")
-			}
-		})
-	}
-}
-
 // BenchmarkSentinelOverhead pins what the resource-governance layer
 // costs when it is DISABLED — the default standalone-daemon
 // configuration, and the price every job pays for the sentinel merely
 // existing. The governed variant runs the closure-heaviest workload
-// (BenchmarkParallelHB's K-9 Mail build) plus the exact disabled-path
-// checks the server performs per job: the nil-receiver brownout probes
-// and the zero-ceiling class check. Its budget is within 5% of baseline;
-// the benchtables regression gate holds it there against the committed
-// BENCH_baseline.json.
+// (the serial happens-before build of K-9 Mail) plus the exact
+// disabled-path checks the server performs per job: the nil-receiver
+// brownout probes and the zero-ceiling class check. Its budget is
+// within 5% of baseline; the benchtables regression gate holds it there
+// against the committed BENCH_baseline.json.
 func BenchmarkSentinelOverhead(b *testing.B) {
 	info := analyzeInfo(b, representative(b, "K-9 Mail").Trace)
 	b.Run("baseline", func(b *testing.B) {
@@ -304,17 +264,6 @@ func BenchmarkStreamEngine(b *testing.B) {
 		// is the whole point.
 		b.Run("stream", func(b *testing.B) { run(b, tr, droidracer.EngineStream) })
 	})
-}
-
-// workerLabel names the sub-benchmark for a worker count. The = form
-// (not workers-N) keeps the trailing digits distinguishable from the
-// -GOMAXPROCS suffix `go test` appends on multi-core machines, which
-// the benchcmp gate strips to compare runs across machines.
-func workerLabel(workers int) string {
-	if workers == 1 {
-		return "serial"
-	}
-	return fmt.Sprintf("workers=%d", workers)
 }
 
 func BenchmarkNodeMerging(b *testing.B) {

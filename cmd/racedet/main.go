@@ -5,8 +5,7 @@
 // Usage:
 //
 //	racedet [-all] [-stats] [-naive] [-no-enable] [-no-fifo]
-//	        [-deadline 5s] [-max-nodes N] [-no-degrade]
-//	        [-parallelism N] [trace.txt]
+//	        [-deadline 5s] [-max-nodes N] [-no-degrade] [trace.txt]
 //	racedet -campaign "Paper Music Player" -state DIR [-k N] [-seed N]
 //	racedet -resume DIR
 //	racedet -submit URL [-deadline 30s] [-client-id ID] [-trace-out FILE] [trace.txt]
@@ -64,7 +63,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -93,7 +91,6 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the analysis (0 = unlimited)")
 	maxNodes := flag.Int("max-nodes", 0, "cap on happens-before graph nodes (0 = unlimited)")
 	noDegrade := flag.Bool("no-degrade", false, "on budget exhaustion, fail with partial results instead of degrading to the pure-MT baseline")
-	parallelism := flag.Int("parallelism", 0, "worker goroutines for the happens-before closure and race scan (0 = GOMAXPROCS, 1 = serial)")
 	phaseTimings := flag.Bool("phase-timings", false, "append a per-phase wall-clock timing table to the report")
 	submitURL := flag.String("submit", "", "submit the trace to this racedetd ingestion URL instead of analyzing locally")
 	clientID := flag.String("client-id", "", "rate-limit principal sent as X-Client-ID with -submit/-flood")
@@ -166,10 +163,6 @@ func main() {
 	opts.HB.FIFO = !*noFIFO
 	opts.Budget = droidracer.Budget{Wall: *deadline, MaxGraphNodes: *maxNodes}
 	opts.DegradeOnBudget = !*noDegrade
-	opts.Parallelism = *parallelism
-	if opts.Parallelism == 0 {
-		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
 
 	partial := false
 	res, err := droidracer.AnalyzeContext(context.Background(), tr, opts)

@@ -97,7 +97,6 @@ func main() {
 	spool := flag.String("spool", "", "directory of trace files to analyze")
 	state := flag.String("state", "", "state directory for the completed-work journal")
 	workers := flag.Int("workers", 2, "concurrent analysis workers")
-	parallelism := flag.Int("parallelism", 0, "per-job worker goroutines for the closure and race scan (0 = GOMAXPROCS/workers, 1 = serial)")
 	queue := flag.Int("queue", 16, "admission queue depth; a full queue sheds new work")
 	engine := flag.String("engine", "", "default analysis engine: graph (default) or stream; a request's X-Analysis-Engine overrides per submission")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget per analysis attempt (0 = unlimited)")
@@ -203,27 +202,22 @@ func main() {
 	// srv is safe: it is assigned before any job can be submitted.
 	var srv *server.Server
 	pool := jobs.NewPool(jobs.Config{
-		Workers:     *workers,
-		Parallelism: *parallelism,
-		QueueDepth:  *queue,
-		Budget:      budget.Limits{Wall: *deadline},
-		Retry:       jobs.RetryPolicy{MaxAttempts: 1 + *retries, BaseBackoff: *backoff},
-		Breaker:     jobs.BreakerPolicy{Threshold: *breaker},
-		Journal:     w,
-		Events:      events,
-		Quarantine:  q,
-		TraceSlow:   *traceSlow,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		Budget:     budget.Limits{Wall: *deadline},
+		Retry:      jobs.RetryPolicy{MaxAttempts: 1 + *retries, BaseBackoff: *backoff},
+		Breaker:    jobs.BreakerPolicy{Threshold: *breaker},
+		Journal:    w,
+		Events:     events,
+		Quarantine: q,
+		TraceSlow:  *traceSlow,
 		OnFinish: func(out report.Outcome) {
 			if s := srv; s != nil {
 				s.JobFinished(out)
 			}
 		},
 	})
-	// Each analysis gets the pool's resolved per-job worker budget, so
-	// -workers jobs running their closures in parallel never oversubscribe
-	// the machine.
 	aopts := core.DefaultOptions()
-	aopts.Parallelism = pool.JobParallelism()
 	eng, err := core.NormalizeEngine(*engine)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "racedetd: %v\n", err)

@@ -67,55 +67,6 @@ func (s *Set) UnionWith(t *Set) bool {
 	return changed
 }
 
-// WordLen returns the number of 64-bit words backing the set. The
-// parallel happens-before engine shards closure passes over contiguous
-// word ranges, so the sharding arithmetic lives beside the layout it
-// depends on.
-func (s *Set) WordLen() int { return len(s.words) }
-
-// UnionWordRange sets words [lo, hi) of s to the union with the same
-// words of t and reports whether s changed in that range. It is the
-// column-sharded form of UnionWith: two goroutines may union into the
-// same set concurrently as long as their word ranges are disjoint.
-// It panics if the sets have different capacities.
-func (s *Set) UnionWordRange(t *Set, lo, hi int) bool {
-	if s.n != t.n {
-		panic("bitset: capacity mismatch")
-	}
-	changed := false
-	// Reslice once so the loop body carries no bounds checks: after
-	// tw = tw[:len(sw)] the compiler proves both indexings in range.
-	sw := s.words[lo:hi]
-	tw := t.words[lo:hi]
-	tw = tw[:len(sw)]
-	for i, w := range tw {
-		if nw := sw[i] | w; nw != sw[i] {
-			sw[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
-// CountWordRange returns the number of set bits in words [lo, hi).
-func (s *Set) CountWordRange(lo, hi int) int {
-	c := 0
-	for i := lo; i < hi; i++ {
-		c += bits.OnesCount64(s.words[i])
-	}
-	return c
-}
-
-// ResetWordRange clears words [lo, hi) without touching the rest of the
-// set. Per-worker accumulators of the parallel engine recycle one
-// full-capacity scratch set but only ever read and write their own word
-// range, so clearing the whole set every row would waste the sharding.
-func (s *Set) ResetWordRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s.words[i] = 0
-	}
-}
-
 // CopyFrom overwrites s with the contents of t.
 // It panics if the sets have different capacities.
 func (s *Set) CopyFrom(t *Set) {

@@ -81,6 +81,35 @@ func TestUnionCapacityMismatchPanics(t *testing.T) {
 	New(64).UnionWith(New(65))
 }
 
+func TestCopyFrom(t *testing.T) {
+	s, u := New(130), New(130)
+	s.Set(5)
+	u.Set(99)
+	s.CopyFrom(u)
+	if s.Has(5) || !s.Has(99) || !s.Equal(u) {
+		t.Errorf("CopyFrom did not overwrite: %v vs %v", s, u)
+	}
+	u.Set(1)
+	if s.Has(1) {
+		t.Error("CopyFrom aliased the source words")
+	}
+}
+
+func TestUnionCount(t *testing.T) {
+	s, u := New(130), New(130)
+	s.Set(0)
+	s.Set(64)
+	u.Set(64)
+	u.Set(129)
+	if got := s.UnionCount(u); got != 3 {
+		t.Errorf("UnionCount = %d, want 3", got)
+	}
+	// And it must not modify either operand.
+	if s.Count() != 2 || u.Count() != 2 {
+		t.Errorf("UnionCount mutated operands: %d, %d bits", s.Count(), u.Count())
+	}
+}
+
 func TestIntersectsWith(t *testing.T) {
 	a, b := New(100), New(100)
 	a.Set(10)
@@ -202,7 +231,7 @@ func TestQuickModel(t *testing.T) {
 }
 
 // TestQuickUnionIsUpperBound checks that a ∪ b contains exactly the bits of
-// both operands.
+// both operands, and that UnionCount counts that union without building it.
 func TestQuickUnionIsUpperBound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -214,6 +243,9 @@ func TestQuickUnionIsUpperBound(t *testing.T) {
 		}
 		aOrig := a.Clone()
 		a.UnionWith(b)
+		if aOrig.UnionCount(b) != a.Count() {
+			return false
+		}
 		for i := 0; i < n; i++ {
 			want := aOrig.Has(i) || b.Has(i)
 			if a.Has(i) != want {

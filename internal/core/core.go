@@ -85,13 +85,12 @@ type Options struct {
 	// never absorbed. When false, budget exhaustion returns the
 	// *budget.Error together with the partial Result built so far.
 	DegradeOnBudget bool
-	// Parallelism shards the happens-before closure and the race scan
-	// across this many worker goroutines. 0 or 1 runs both serially —
-	// the library default, so embedders opt in explicitly (the CLIs
-	// default to GOMAXPROCS). Completed results are byte-identical at
-	// any setting: the parallel engines reproduce the serial ones
-	// pass for pass (see internal/hb/parallel.go). An explicit
-	// HB.Parallelism takes precedence for the closure.
+	// Parallelism is kept only so code written against the former
+	// parallel closure still compiles; the graph engine is serial.
+	// The next change to the serve-path benchmark, its last user,
+	// deletes it.
+	//
+	// Deprecated: ignored. Use EngineStream for a fast analysis.
 	Parallelism int
 }
 
@@ -223,11 +222,7 @@ func analyzePhased(ctx context.Context, tr *trace.Trace, opts Options, ph *obs.P
 	}
 	ck.SetStage("happens-before")
 	sp = ph.Start("happens-before")
-	hbCfg := opts.HB
-	if hbCfg.Parallelism == 0 {
-		hbCfg.Parallelism = opts.Parallelism
-	}
-	g, err := hb.BuildBudgeted(info, hbCfg, ck)
+	g, err := hb.BuildBudgeted(info, opts.HB, ck)
 	sp.End()
 	if err != nil {
 		res := &Result{Trace: tr, Info: info, Graph: g, Stats: trace.ComputeStats(tr, nil)}
@@ -236,7 +231,6 @@ func analyzePhased(ctx context.Context, tr *trace.Trace, opts Options, ph *obs.P
 	ck.SetStage("race-scan")
 	sp = ph.Start("race-scan")
 	d := race.NewDetector(g)
-	d.Parallelism = opts.Parallelism
 	var races []race.Race
 	if opts.Dedup {
 		races, err = d.DetectDedupedBudgeted(ck)

@@ -590,7 +590,12 @@ func (g *Gateway) forwardFailed(reqCtx context.Context, target, key string, inDo
 }
 
 // handleStatus answers job polls: cache first, then the accepting
-// backend, then every live peer in ring order. Terminal answers fill the
+// backend, then every peer in ring order — live backends first, ejected
+// ones after. Ejection stops placement, not reads: a backend ejected
+// for storage-degraded still finishes its in-flight jobs in memory and
+// answers for them, so a job it completed stays readable until it
+// restarts. Each ejected backend gets ProbeTimeout to answer, so a dead
+// one costs a poll no more than a probe. Terminal answers fill the
 // cache on the way through, so polling is what warms the cache for
 // duplicate submissions.
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -611,21 +616,23 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 		targets = reordered
 	}
+	var ejected []string
 	for _, target := range targets {
 		if !g.backends[target].live.Load() {
+			ejected = append(ejected, target)
 			continue
 		}
-		cl := server.Client{BaseURL: target, HTTPClient: g.httpc}
-		resp, err := cl.Status(r.Context(), id)
-		if err != nil || resp.Status == "unknown" {
-			continue
+		if g.pollStatus(r.Context(), w, id, target) {
+			return
 		}
-		if resp.Status == server.StatusDone || resp.Status == server.StatusQuarantined {
-			g.cacheFill(id, target, *resp)
-			g.clearPending(id)
+	}
+	for _, target := range ejected {
+		ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ProbeTimeout)
+		answered := g.pollStatus(ctx, w, id, target)
+		cancel()
+		if answered {
+			return
 		}
-		respond(w, http.StatusOK, resp)
-		return
 	}
 	if _, ok := g.pendingFor(id); ok {
 		respond(w, http.StatusOK, &server.SubmitResponse{
@@ -634,6 +641,23 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	respond(w, http.StatusNotFound, &server.SubmitResponse{Job: id, Status: "unknown"})
+}
+
+// pollStatus asks one backend for id's status and, when the backend
+// knows the job, answers the poll with it and reports true. Terminal
+// answers fill the cache.
+func (g *Gateway) pollStatus(ctx context.Context, w http.ResponseWriter, id, target string) bool {
+	cl := server.Client{BaseURL: target, HTTPClient: g.httpc}
+	resp, err := cl.Status(ctx, id)
+	if err != nil || resp.Status == "unknown" {
+		return false
+	}
+	if resp.Status == server.StatusDone || resp.Status == server.StatusQuarantined {
+		g.cacheFill(id, target, *resp)
+		g.clearPending(id)
+	}
+	respond(w, http.StatusOK, resp)
+	return true
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -308,6 +308,75 @@ func TestGatewayStatusWarmsCache(t *testing.T) {
 	}
 }
 
+// TestGatewayStatusReadsEjectedBackend pins that ejection stops
+// placement, not reads. A backend ejected after its journal fills
+// (readyz 503) still finishes its in-flight job in memory and answers
+// for it; the poll must reach it instead of answering pending until the
+// backend restarts. The live peer, which does not know the key, is
+// asked first.
+func TestGatewayStatusReadsEjectedBackend(t *testing.T) {
+	b0, b1 := newFakeBackend(t), newFakeBackend(t)
+	g := newTestGateway(t, Config{}, b0, b1)
+	resp, code := postBody(t, g, homeBody(t, g, b0.srv.URL, 0))
+	if code != http.StatusAccepted || b0.submits.Load() != 1 {
+		t.Fatalf("seed submit: %d (b0 submits %d), want 202 on b0", code, b0.submits.Load())
+	}
+	key := resp.Job
+
+	doneHandler := func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, &server.SubmitResponse{
+			Job: r.PathValue("id"), Status: server.StatusDone, Mode: "full", Races: 3, Digest: "00000000000000ab",
+		})
+	}
+	b0.onStatus.Store(&doneHandler)
+	b0.ready.Store(false)
+	g.eject(b0.srv.URL, fmt.Errorf("storage-degraded"))
+	if live := g.LiveBackends(); len(live) != 1 || live[0] != b1.srv.URL {
+		t.Fatalf("live backends after eject = %v, want only b1", live)
+	}
+
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+key, nil))
+	var sr server.SubmitResponse
+	json.NewDecoder(rec.Body).Decode(&sr)
+	if rec.Code != http.StatusOK || sr.Status != server.StatusDone || sr.Races != 3 {
+		t.Fatalf("poll of a job completed on an ejected backend: %d %s races=%d, want 200 done races=3",
+			rec.Code, sr.Status, sr.Races)
+	}
+	if b1.statuses.Load() == 0 {
+		t.Error("the live peer was not asked before the ejected backend")
+	}
+	// The terminal answer filled the cache: a duplicate replays without
+	// placing work anywhere.
+	before := b0.submits.Load() + b1.submits.Load()
+	dup, code := postBody(t, g, homeBody(t, g, b0.srv.URL, 0))
+	if code != http.StatusOK || !dup.Cached {
+		t.Fatalf("duplicate after poll: %d cached=%v, want cached 200", code, dup.Cached)
+	}
+	if b0.submits.Load()+b1.submits.Load() != before {
+		t.Fatal("cached replay placed work on a backend")
+	}
+}
+
+// TestGatewayStatusSkipsDeadEjectedBackend: an ejected backend that is
+// gone costs a poll one failed connection, and an unknown key still
+// answers 404.
+func TestGatewayStatusSkipsDeadEjectedBackend(t *testing.T) {
+	b0, b1 := newFakeBackend(t), newFakeBackend(t)
+	g := newTestGateway(t, Config{ProbeTimeout: 200 * time.Millisecond}, b0, b1)
+	b0.srv.Close()
+	g.eject(b0.srv.URL, fmt.Errorf("gone"))
+	start := time.Now()
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/0123456789abcdef", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("poll of an unknown key with a dead ejected backend: %d, want 404", rec.Code)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("poll took %v with a dead ejected backend", d)
+	}
+}
+
 func TestGatewayAcceptanceClearsInDoubtLedger(t *testing.T) {
 	b := newFakeBackend(t)
 	var dieInFlight atomic.Bool

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -82,6 +83,40 @@ func TestRingFailoverFollowsOrder(t *testing.T) {
 			if again[j] != order[j] {
 				t.Fatalf("unstable order: %v vs %v", again, order)
 			}
+		}
+	}
+}
+
+// TestRingBalanceRandomPorts is the balance property over the fleets
+// the gateway actually sees: two loopback backends on arbitrary ports,
+// fed content keys (16 hex chars). Whatever the ports, the smaller
+// backend must own at least 30% of the keys. Raw FNV-1a ring points
+// failed this for 438 of 1000 port pairs (smallest share down to
+// 0.003), which starved one backend of its share of a chaos test's
+// corpus.
+func TestRingBalanceRandomPorts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]string, 2000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%016x", rng.Uint64())
+	}
+	for trial := 0; trial < 200; trial++ {
+		a := fmt.Sprintf("http://127.0.0.1:%d", 1024+rng.Intn(64511))
+		b := fmt.Sprintf("http://127.0.0.1:%d", 1024+rng.Intn(64511))
+		if a == b {
+			continue
+		}
+		r := NewRing([]string{a, b})
+		onA := 0
+		for _, k := range keys {
+			if r.Order(k)[0] == a {
+				onA++
+			}
+		}
+		share := float64(min(onA, len(keys)-onA)) / float64(len(keys))
+		if share < 0.30 {
+			t.Fatalf("ring over %s, %s: smaller backend owns %.3f of %d keys, want ≥ 0.30",
+				a, b, share, len(keys))
 		}
 	}
 }

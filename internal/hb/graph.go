@@ -24,7 +24,6 @@ import (
 
 	"droidracer/internal/bitset"
 	"droidracer/internal/budget"
-	"droidracer/internal/obs"
 	"droidracer/internal/trace"
 )
 
@@ -58,13 +57,6 @@ type Config struct {
 	// programs (§4.1 specializations), used by the event-only baseline.
 	// Cross-thread interference becomes invisible (false positives).
 	STOnly bool
-	// Parallelism is the number of worker goroutines the closure
-	// fixpoint shards its passes across. Values ≤ 1 run the serial
-	// engine. The parallel engine is pass-for-pass identical to the
-	// serial one (see parallel.go), so the resulting relation, edge
-	// counts, and rule attribution are byte-identical at any setting;
-	// only wall-clock time changes.
-	Parallelism int
 }
 
 // DefaultConfig returns the configuration of the full analysis as
@@ -163,14 +155,7 @@ func BuildBudgeted(info *trace.Info, cfg Config, ck *budget.Checker) (*Graph, er
 	}
 	if g.buildErr == nil {
 		g.addBaseEdges()
-		fx := time.Now()
-		workers := g.closureWorkers()
-		if workers > 1 {
-			g.fixpointParallel(workers)
-		} else {
-			g.fixpoint()
-		}
-		obs.ParallelPhaseObserve("hb-closure", workers, time.Since(fx))
+		g.fixpoint()
 	}
 	err := g.buildErr
 	g.ck, g.buildErr = nil, nil

@@ -19,7 +19,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -104,15 +103,6 @@ type Config struct {
 	// Budget bounds each execution attempt; composed with the job's
 	// context (the earlier deadline wins, see budget.NewChecker).
 	Budget budget.Limits
-	// Parallelism is the per-job analysis worker budget: how many
-	// goroutines one job's happens-before closure and race scan may
-	// shard across (core.Options.Parallelism). 0 divides GOMAXPROCS
-	// evenly among the pool's workers (minimum 1), so an 8-worker pool
-	// on 8 cores runs 8 serial analyses instead of oversubscribing the
-	// machine 8×8. The resolved value is exposed as JobParallelism for
-	// the layer that builds analysis options (racedetd, the ingestion
-	// server).
-	Parallelism int
 	// Retry bounds re-execution of failed attempts.
 	Retry RetryPolicy
 	// Breaker configures the per-input circuit breaker.
@@ -135,7 +125,8 @@ type Config struct {
 	// OnFinish, when set, observes every finished outcome (including
 	// drained and quarantined ones) after it is journaled. It runs on the
 	// worker goroutine; the ingestion layer uses it to answer duplicate
-	// submissions from completed work.
+	// submissions from completed work. It sees the full core.Result; the
+	// copy the pool keeps for Outcomes does not (see retained).
 	OnFinish func(report.Outcome)
 	// TraceSlow is the tail-capture threshold: an unsampled job whose
 	// execution (queue wait included) exceeds it commits its trace to the
@@ -178,12 +169,6 @@ func NewPool(cfg Config) *Pool {
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 16
 	}
-	if cfg.Parallelism < 1 {
-		cfg.Parallelism = runtime.GOMAXPROCS(0) / cfg.Workers
-		if cfg.Parallelism < 1 {
-			cfg.Parallelism = 1
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{
 		cfg:     cfg,
@@ -204,11 +189,13 @@ func NewPool(cfg Config) *Pool {
 	return p
 }
 
-// JobParallelism returns the resolved per-job analysis worker budget
-// (Config.Parallelism after defaulting against GOMAXPROCS and the
-// worker count). The layer that builds core.Options for submitted jobs
-// copies it into Options.Parallelism.
-func (p *Pool) JobParallelism() int { return p.cfg.Parallelism }
+// JobParallelism returns 1: every job's analysis is serial. It is kept
+// only so code written against the former per-job worker budget still
+// compiles. The next change to the serve-path benchmark, its last
+// caller, deletes it.
+//
+// Deprecated: ignored. Use core.EngineStream for a fast analysis.
+func (p *Pool) JobParallelism() int { return 1 }
 
 // Submit enqueues a job. It never blocks: when the queue is full or the
 // pool is shutting down it sheds the job, recording a shed outcome and
@@ -350,9 +337,24 @@ func (p *Pool) quarantine(job Job, out *report.Outcome) {
 // record appends an outcome without journaling (shed jobs never ran; a
 // restart should still see their input pending).
 func (p *Pool) record(out report.Outcome) {
+	out = retained(out)
 	p.mu.Lock()
 	p.outcomes = append(p.outcomes, out)
 	p.mu.Unlock()
+}
+
+// retained is the copy of out the pool keeps for Outcomes for the rest
+// of its lifetime. The report reads only the races, phases and mode, so
+// the copy drops the trace, its annotations and the happens-before
+// graph (n² closure bits under the graph engine). OnFinish still sees
+// the full result.
+func retained(out report.Outcome) report.Outcome {
+	if out.Result != nil {
+		r := *out.Result
+		r.Trace, r.Info, r.Graph = nil, nil, nil
+		out.Result = &r
+	}
+	return out
 }
 
 // finish appends an outcome, journals it when the pool has a journal,
@@ -429,7 +431,8 @@ func (p *Pool) Quiesce() {
 }
 
 // Outcomes returns a snapshot of per-job outcomes so far, including a
-// queued placeholder row per not-yet-started job.
+// queued placeholder row per not-yet-started job. Results keep their
+// races, stats, phases and mode; Trace, Info and Graph are nil.
 func (p *Pool) Outcomes() []report.Outcome {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -343,6 +343,36 @@ func writeTestTrace(t *testing.T, dir string) string {
 	return path
 }
 
+// TestPoolRetainsSlimOutcomes pins that a finished job's trace,
+// annotations and happens-before graph do not live as long as the pool:
+// OnFinish sees the full result, while the outcome the pool keeps for
+// its report holds only what the report reads, and renders the same.
+func TestPoolRetainsSlimOutcomes(t *testing.T) {
+	var seen report.Outcome
+	p := NewPool(Config{Workers: 1, OnFinish: func(out report.Outcome) { seen = out }})
+	err := p.Submit(Job{Name: "figure4", Run: func(ctx context.Context, _ budget.Limits) (*core.Result, error) {
+		return core.AnalyzeContext(ctx, paper.Figure4(), core.DefaultOptions())
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Quiesce()
+	kept := outcomesByName(p.Shutdown(context.Background()))["figure4"]
+	full := seen.Result
+	if full == nil || full.Trace == nil || full.Info == nil || full.Graph == nil {
+		t.Fatalf("OnFinish saw %+v, want the full result with its trace, info and graph", full)
+	}
+	if kept.Result == nil || kept.Result.Trace != nil || kept.Result.Info != nil || kept.Result.Graph != nil {
+		t.Fatalf("retained result %+v still holds the trace, info or graph", kept.Result)
+	}
+	if len(kept.Result.Races) != len(full.Races) || len(kept.Result.Races) == 0 {
+		t.Fatalf("retained %d races, OnFinish saw %d", len(kept.Result.Races), len(full.Races))
+	}
+	if got, want := report.Pipeline([]report.Outcome{kept}), report.Pipeline([]report.Outcome{seen}); got != want {
+		t.Fatalf("slim outcome renders differently:\n%s\nvs full:\n%s", got, want)
+	}
+}
+
 func outcomesByName(outs []report.Outcome) map[string]report.Outcome {
 	m := make(map[string]report.Outcome)
 	for _, o := range outs {

@@ -12,13 +12,10 @@ package race
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"droidracer/internal/budget"
 	"droidracer/internal/hb"
-	"droidracer/internal/obs"
 	"droidracer/internal/trace"
 )
 
@@ -78,14 +75,6 @@ type Detector struct {
 	g    *hb.Graph
 	info *trace.Info
 	cl   *Classifier
-
-	// Parallelism is the number of worker goroutines the per-location
-	// conflict scan is sharded across; values ≤ 1 scan serially. The
-	// graph and trace annotations are immutable, per-location scans are
-	// independent, and the merged result is sorted by (First, Second)
-	// before being returned, so the race set is byte-identical to the
-	// serial scan at any setting.
-	Parallelism int
 }
 
 // NewDetector returns a detector for the given graph.
@@ -116,24 +105,23 @@ func (d *Detector) DetectBudgeted(ck *budget.Checker) ([]Race, error) {
 	}
 	var races []Race
 	var tripErr error
-	workers := d.scanWorkers(len(byLoc))
-	if workers > 1 {
-		races, tripErr = d.detectParallel(byLoc, ck, workers)
-	} else {
-	scan:
-		for loc, accs := range byLoc {
-			for x := 0; x < len(accs); x++ {
-				a := accs[x]
-				for y := x + 1; y < len(accs); y++ {
-					if err := ck.Check(); err != nil {
-						tripErr = err
-						break scan
-					}
-					b := accs[y]
-					if r, ok := d.checkPair(tr, loc, a, b); ok {
-						races = append(races, r)
-					}
+scan:
+	for loc, accs := range byLoc {
+		for x := 0; x < len(accs); x++ {
+			a := accs[x]
+			for y := x + 1; y < len(accs); y++ {
+				if err := ck.Check(); err != nil {
+					tripErr = err
+					break scan
 				}
+				b := accs[y]
+				if !tr.Op(a).Conflicts(tr.Op(b)) {
+					continue
+				}
+				if d.g.HappensBefore(a, b) || d.g.HappensBefore(b, a) {
+					continue
+				}
+				races = append(races, Race{First: a, Second: b, Loc: loc, Category: d.Classify(a, b)})
 			}
 		}
 	}
@@ -143,121 +131,9 @@ func (d *Detector) DetectBudgeted(ck *budget.Checker) ([]Race, error) {
 		}
 		return races[i].Second < races[j].Second
 	})
-	obs.ParallelPhaseObserve("race-scan", workers, time.Since(start))
 	publishScan(races, time.Since(start).Seconds())
 	return races, tripErr
 }
-
-// checkPair tests one candidate access pair (a < b) and classifies it
-// when it races. Pure over the immutable graph and annotations, so the
-// sharded scan calls it from worker goroutines.
-func (d *Detector) checkPair(tr *trace.Trace, loc trace.Loc, a, b int) (Race, bool) {
-	if !tr.Op(a).Conflicts(tr.Op(b)) {
-		return Race{}, false
-	}
-	if d.g.HappensBefore(a, b) || d.g.HappensBefore(b, a) {
-		return Race{}, false
-	}
-	return Race{First: a, Second: b, Loc: loc, Category: d.Classify(a, b)}, true
-}
-
-// scanWorkers resolves Parallelism against the workload: no more
-// workers than locations to scan.
-func (d *Detector) scanWorkers(locs int) int {
-	w := d.Parallelism
-	if w <= 1 {
-		return 1
-	}
-	if w > locs {
-		w = locs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// detectParallel shards the per-location conflict scan across workers.
-// Locations are handed out through an atomic cursor over a sorted list
-// (per-location cost is wildly uneven — work-stealing beats static
-// ranges), each worker appends to a private slice, and the merged
-// result is sorted by the caller. The budget checker is not safe for
-// concurrent use, so workers poll it behind a mutex every
-// checker-rate-limit's worth of pairs; the first trip stops the scan
-// and is returned with the partial (still sound) race list.
-func (d *Detector) detectParallel(byLoc map[trace.Loc][]int, ck *budget.Checker, workers int) ([]Race, error) {
-	tr := d.info.Trace()
-	locs := make([]trace.Loc, 0, len(byLoc))
-	for loc := range byLoc {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-
-	var (
-		cursor  atomic.Int64
-		stop    atomic.Bool
-		pollMu  sync.Mutex
-		tripErr error
-		wg      sync.WaitGroup
-	)
-	out := make([][]Race, workers)
-	poll := func() bool {
-		if ck == nil {
-			return true
-		}
-		if stop.Load() {
-			return false
-		}
-		pollMu.Lock()
-		defer pollMu.Unlock()
-		if stop.Load() {
-			return false
-		}
-		if err := ck.CheckNow(); err != nil {
-			tripErr = err
-			stop.Store(true)
-			return false
-		}
-		return true
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pairs := 0
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(locs) || stop.Load() {
-					return
-				}
-				loc := locs[i]
-				accs := byLoc[loc]
-				for x := 0; x < len(accs); x++ {
-					a := accs[x]
-					for y := x + 1; y < len(accs); y++ {
-						if pairs++; pairs%scanPollPairs == 0 && !poll() {
-							return
-						}
-						if r, ok := d.checkPair(tr, loc, a, accs[y]); ok {
-							out[w] = append(out[w], r)
-						}
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	var races []Race
-	for _, rs := range out {
-		races = append(races, rs...)
-	}
-	return races, tripErr
-}
-
-// scanPollPairs is how many candidate pairs a worker scans between
-// polls of the shared budget checker — the same order of magnitude as
-// the serial scan's rate-limited Check.
-const scanPollPairs = 256
 
 // DetectDeduped returns one representative race per (location, category),
 // matching the paper's reporting: "If there are multiple races belonging

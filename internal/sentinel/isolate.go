@@ -73,7 +73,6 @@ type workerSpec struct {
 	Trace           string `json:"trace"`
 	Out             string `json:"out"`
 	MemLimit        int64  `json:"mem_limit"`
-	Parallelism     int    `json:"parallelism,omitempty"`
 	Dedup           bool   `json:"dedup,omitempty"`
 	Validate        bool   `json:"validate,omitempty"`
 	DropCancelled   bool   `json:"drop_cancelled,omitempty"`
@@ -173,7 +172,6 @@ func (i *Isolator) Run(ctx context.Context, path string, opts core.Options) (*co
 		Trace:           path,
 		Out:             outPath,
 		MemLimit:        memLimit,
-		Parallelism:     opts.Parallelism,
 		Dedup:           opts.Dedup,
 		Validate:        opts.Validate,
 		DropCancelled:   opts.DropCancelled,

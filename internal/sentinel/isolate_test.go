@@ -60,7 +60,6 @@ func writeTrace(t *testing.T, body string) string {
 func TestIsolatedRunMatchesInProcess(t *testing.T) {
 	path := writeTrace(t, racyTrace)
 	opts := core.DefaultOptions()
-	opts.Parallelism = 1
 
 	res, err := testIsolator().Run(context.Background(), path, opts)
 	if err != nil {

@@ -97,7 +97,6 @@ func WorkerMain() int {
 		Validate:        spec.Validate,
 		DropCancelled:   spec.DropCancelled,
 		DegradeOnBudget: spec.DegradeOnBudget,
-		Parallelism:     spec.Parallelism,
 		Budget:          budget.Limits{Wall: time.Duration(spec.WallMS) * time.Millisecond},
 	}
 	res, err := core.AnalyzeContext(context.Background(), tr, opts)

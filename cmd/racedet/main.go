@@ -4,8 +4,9 @@
 //
 // Usage:
 //
-//	racedet [-all] [-stats] [-naive] [-no-enable] [-no-fifo]
-//	        [-deadline 5s] [-max-nodes N] [-no-degrade] [trace.txt]
+//	racedet [-engine stream|graph] [-all] [-stats] [-naive] [-no-enable]
+//	        [-no-fifo] [-explain] [-dot FILE] [-minimize] [-deadline 5s]
+//	        [-max-nodes N] [-no-degrade] [trace.txt]
 //	racedet -campaign "Paper Music Player" -state DIR [-k N] [-seed N]
 //	racedet -resume DIR
 //	racedet -submit URL [-deadline 30s] [-client-id ID] [-trace-out FILE] [trace.txt]
@@ -14,8 +15,13 @@
 //	        [-flood-apps "Music Player,..."] [-seed N] [-client-id ID]
 //	racedet -fsck STATEDIR [-spool DIR] [-repair]
 //
-// With no file argument the trace is read from standard input. Under
-// -deadline/-max-nodes the analysis is budgeted: when the budget runs
+// With no file argument the trace is read from standard input. The
+// analysis runs the streaming engine unless -engine=graph is given or a
+// flag that needs the happens-before graph is: -dot, -explain,
+// -minimize and -max-nodes select the graph engine, and combining one
+// with an explicit -engine=stream is a usage error. -stats works under
+// either engine and prints the graph size only when there is a graph.
+// Under -deadline/-max-nodes the analysis is budgeted: when the budget runs
 // out it degrades to the pure multithreaded baseline detector (or, with
 // -no-degrade, exits with the partial results printed and a structured
 // budget error).
@@ -78,7 +84,7 @@ import (
 )
 
 func main() {
-	engine := flag.String("engine", "", "analysis engine: graph (default; supports -dot/-explain/-minimize) or stream (vector-clock replay, no graph, linear memory); with -submit, forwarded as X-Analysis-Engine")
+	engine := flag.String("engine", "", "analysis engine: stream (default; vector-clock replay, no graph, linear memory) or graph (the paper's closure); -dot, -explain, -minimize and -max-nodes select graph")
 	all := flag.Bool("all", false, "report every racing pair instead of one per location and category")
 	stats := flag.Bool("stats", false, "print trace statistics and graph size")
 	naive := flag.Bool("naive", false, "use the naive combination of multithreaded and event rules (ablation)")
@@ -130,12 +136,25 @@ func main() {
 		return
 	}
 	if *submitURL != "" {
-		runSubmit(*submitURL, *clientID, *traceOut, *engine, *deadline)
+		if *engine != "" {
+			usage(fmt.Errorf("-engine does not apply to -submit: the daemon's own -engine decides"))
+		}
+		runSubmit(*submitURL, *clientID, *traceOut, *deadline)
 		return
 	}
 	if *floodURL != "" {
 		runFlood(*floodURL, *clientID, *floodApps, *floodRequests, *floodCorpus, *floodRPS, *floodDup, *seed)
 		return
+	}
+
+	eng, err := selectEngine(*engine, []graphFlag{
+		{"-dot", *dotFile != ""},
+		{"-explain", *explainFlag},
+		{"-minimize", *minimizeFlag},
+		{"-max-nodes", *maxNodes > 0},
+	})
+	if err != nil {
+		usage(err)
 	}
 
 	var in io.Reader = os.Stdin
@@ -155,7 +174,7 @@ func main() {
 	parseDur := time.Since(parseStart)
 
 	opts := droidracer.DefaultOptions()
-	opts.Engine = *engine
+	opts.Engine = eng
 	opts.Dedup = !*all
 	opts.Validate = !*noValidate
 	opts.HB.Naive = *naive
@@ -188,7 +207,7 @@ func main() {
 	}
 	if *dotFile != "" {
 		if res.Graph == nil {
-			fatal(fmt.Errorf("-dot: no happens-before graph (degraded result or -engine=stream)"))
+			fatal(fmt.Errorf("-dot: no happens-before graph (degraded result)"))
 		}
 		f, err := os.Create(*dotFile)
 		if err != nil {
@@ -221,7 +240,7 @@ func main() {
 	}
 	fmt.Printf("%d race report(s)\n", len(res.Races))
 	if *minimizeFlag && res.Graph == nil {
-		fmt.Fprintln(os.Stderr, "racedet: -minimize needs the happens-before graph; rerun with -engine=graph")
+		fmt.Fprintln(os.Stderr, "racedet: -minimize needs the happens-before graph, which a degraded result does not have")
 	}
 	if *minimizeFlag && res.Graph != nil {
 		min, err := droidracer.Minimize(res.Trace, res.Races[0], opts.HB)
@@ -251,7 +270,7 @@ func main() {
 // traceparent header, which makes the fleet keep the distributed trace
 // (client-sampled traces always commit); the trace ID prints to stderr
 // so the operator can stitch it later with `racedet -trace`.
-func runSubmit(url, clientID, traceOut, engine string, deadline time.Duration) {
+func runSubmit(url, clientID, traceOut string, deadline time.Duration) {
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
 		f, err := os.Open(flag.Arg(0))
@@ -270,7 +289,6 @@ func runSubmit(url, clientID, traceOut, engine string, deadline time.Duration) {
 		BaseURL:     strings.TrimSuffix(url, "/"),
 		Deadline:    deadline,
 		ClientID:    clientID,
-		Engine:      engine,
 		Seed:        time.Now().UnixNano(),
 		Traceparent: sc.Traceparent(),
 	}
@@ -473,7 +491,47 @@ func plural(n int, one, many string) string {
 	return many
 }
 
+// graphFlag is one command-line option and whether it is in effect.
+type graphFlag struct {
+	name string
+	on   bool
+}
+
+// selectEngine resolves the analysis engine from the -engine value and
+// the graph-only options in effect (outputs read from the happens-before
+// graph, or budgets on its size). With -engine unset, any such option
+// selects the graph engine; with an explicit stream it is a usage error,
+// so no option is ever silently ignored.
+func selectEngine(engine string, graphOnly []graphFlag) (string, error) {
+	eng, err := core.NormalizeEngine(engine)
+	if err != nil {
+		return "", err
+	}
+	var need []string
+	for _, f := range graphOnly {
+		if f.on {
+			need = append(need, f.name)
+		}
+	}
+	switch {
+	case len(need) == 0 || eng == core.EngineGraph:
+		return eng, nil
+	case engine == "":
+		return core.EngineGraph, nil
+	default:
+		return "", fmt.Errorf("%s need%s the happens-before graph, which -engine=%s does not build",
+			strings.Join(need, ", "), plural(len(need), "s", ""), eng)
+	}
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "racedet:", err)
 	os.Exit(1)
+}
+
+// usage reports a bad combination of flags and exits 2, like the flag
+// package does for an unknown one.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "racedet:", err)
+	os.Exit(2)
 }

@@ -7,13 +7,17 @@
 //
 // Usage:
 //
-//	racedetd -spool DIR -state DIR [-workers N] [-queue N]
-//	         [-deadline 30s] [-retries N] [-poll 2s] [-once]
+//	racedetd -spool DIR -state DIR [-engine stream|graph] [-workers N]
+//	         [-queue N] [-deadline 30s] [-retries N] [-poll 2s] [-once]
 //	         [-drain-timeout 30s] [-metrics-addr HOST:PORT]
 //	         [-events PATH] [-listen HOST:PORT] [-max-body BYTES]
 //	         [-rate N] [-burst N] [-max-inflight N] [-max-deadline 2m]
 //	         [-mem-watermark BYTES] [-cost-soft BYTES] [-cost-hard BYTES]
 //	         [-worker-mem BYTES] [-worker-wall 2m] [-isolate]
+//
+// -engine picks the analysis engine every job runs: the streaming
+// vector-clock engine by default, or the paper's graph closure. Both
+// report the same races; a served result never carries the graph.
 //
 // Resource governance (see internal/sentinel and DESIGN.md §16):
 // -cost-hard refuses submissions whose estimated analysis footprint no
@@ -98,7 +102,7 @@ func main() {
 	state := flag.String("state", "", "state directory for the completed-work journal")
 	workers := flag.Int("workers", 2, "concurrent analysis workers")
 	queue := flag.Int("queue", 16, "admission queue depth; a full queue sheds new work")
-	engine := flag.String("engine", "", "default analysis engine: graph (default) or stream; a request's X-Analysis-Engine overrides per submission")
+	engine := flag.String("engine", "", "analysis engine for every job: stream (default) or graph (the paper's closure; admission costs it quadratically)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget per analysis attempt (0 = unlimited)")
 	retries := flag.Int("retries", 1, "extra attempts per job after a transient failure")
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "base backoff between attempts")

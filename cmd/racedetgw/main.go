@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"droidracer/internal/core"
 	"droidracer/internal/gateway"
 	"droidracer/internal/obs"
 )
@@ -44,7 +43,6 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe request timeout")
 	ejectAfter := flag.Int("eject-after", 3, "consecutive probe/forward failures before ejecting a backend")
 	maxFailover := flag.Int("max-failover", 0, "max ring peers one submission may walk (0 = all)")
-	engineFlag := flag.String("engine", "", "default analysis engine forwarded to backends: graph (default) or stream; a submission's X-Analysis-Engine overrides")
 	cacheEntries := flag.Int("cache-entries", 1024, "bounded LRU capacity for terminal results")
 	maxBody := flag.Int64("max-body", 8<<20, "largest accepted trace body in bytes")
 	forwardTimeout := flag.Duration("forward-timeout", 30*time.Second, "per-forward timeout including retry")
@@ -58,13 +56,6 @@ func main() {
 	obs.SetServiceName("racedetgw")
 	if *backends == "" {
 		fatal(fmt.Errorf("missing -backends"))
-	}
-	engine, err := core.NormalizeEngine(*engineFlag)
-	if err != nil {
-		fatal(err)
-	}
-	if *engineFlag == "" {
-		engine = "" // leave backend defaults alone unless asked
 	}
 	var fleet []string
 	for _, b := range strings.Split(*backends, ",") {
@@ -104,7 +95,6 @@ func main() {
 		MaxFailover:    *maxFailover,
 		ForwardTimeout: *forwardTimeout,
 		RetryAfter:     *retryAfter,
-		Engine:         engine,
 		Seed:           *seed,
 		Events:         events,
 		TraceSlow:      *traceSlow,

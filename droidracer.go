@@ -162,9 +162,10 @@ type (
 )
 
 // Analysis engine selectors for Options.Engine. Both engines report
-// identical race sets; EngineGraph materializes the happens-before
-// graph (required by Explain, Minimize, and DOT export), EngineStream
-// replays the trace once with vector clocks in linear memory.
+// identical race sets; EngineStream, the default, replays the trace
+// once with vector clocks in linear memory, EngineGraph materializes
+// the happens-before graph (required by Explain and DOT export of a
+// Result's Graph).
 const (
 	EngineGraph  = core.EngineGraph
 	EngineStream = core.EngineStream
@@ -172,7 +173,9 @@ const (
 
 // DefaultOptions returns the analysis configuration DroidRacer uses: the
 // full happens-before relation, semantic validation, cancellation
-// pruning, and per-(location, category) deduplication.
+// pruning, and per-(location, category) deduplication. Its empty Engine
+// runs the streaming engine, whose Result has no Graph; set Engine to
+// EngineGraph to use Explain or the graph's DOT output.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // DefaultHBConfig returns the paper's full happens-before rule set.
@@ -269,7 +272,8 @@ func ValidateTrace(tr *Trace) (int, error) { return semantics.ValidateInferred(t
 type Explanation = explain.Explanation
 
 // Explain builds a debugging explanation for a detected race over the
-// analysis result's graph.
+// analysis result's graph. g must be non-nil: only a non-degraded result
+// of EngineGraph carries one (the streaming engine builds no graph).
 func Explain(g *HBGraph, r Race) Explanation { return explain.Explain(g, r) }
 
 // HBGraph is the computed happens-before graph of an analysis.

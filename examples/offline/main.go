@@ -50,7 +50,12 @@ func main() {
 	if i, err := droidracer.ValidateTrace(tr); err != nil {
 		log.Fatalf("op %d: %v", i, err)
 	}
-	result, err := droidracer.Analyze(tr, droidracer.DefaultOptions())
+	// The graph engine, not the streaming default: this example prints
+	// the happens-before graph's size and runs the STOnly ablation,
+	// both of which need the graph.
+	graphOpts := droidracer.DefaultOptions()
+	graphOpts.Engine = droidracer.EngineGraph
+	result, err := droidracer.Analyze(tr, graphOpts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +87,7 @@ func main() {
 		{"naive combination    ", func(o *droidracer.Options) { o.HB.Naive = true }},
 		{"event-only (st rules)", func(o *droidracer.Options) { o.HB.STOnly = true }},
 	} {
-		opts := droidracer.DefaultOptions()
+		opts := graphOpts
 		opts.Dedup = false
 		abl.mut(&opts)
 		res, err := droidracer.Analyze(vtr, opts)

@@ -102,6 +102,7 @@ func TestAnalyzeBudgetErrorWithPartialResult(t *testing.T) {
 func TestAnalyzeNodeBudget(t *testing.T) {
 	tr := syntheticTrace(2000)
 	opts := core.DefaultOptions()
+	opts.Engine = core.EngineGraph
 	opts.Budget = core.Budget{MaxGraphNodes: 100}
 	res, err := core.Analyze(tr, opts)
 	if err != nil {
@@ -123,6 +124,7 @@ func TestAnalyzeNodeBudget(t *testing.T) {
 func TestAnalyzeEdgeBudget(t *testing.T) {
 	tr := syntheticTrace(500)
 	opts := core.DefaultOptions()
+	opts.Engine = core.EngineGraph
 	opts.Budget = core.Budget{MaxClosureEdges: 1000}
 	res, err := core.Analyze(tr, opts)
 	if err != nil {
@@ -158,7 +160,9 @@ func TestAnalyzeCancellationPropagates(t *testing.T) {
 // produces a full, non-degraded result.
 func TestAnalyzeUnbudgetedUnchanged(t *testing.T) {
 	tr := syntheticTrace(200)
-	res, err := core.Analyze(tr, core.DefaultOptions())
+	opts := core.DefaultOptions()
+	opts.Engine = core.EngineGraph
+	res, err := core.Analyze(tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

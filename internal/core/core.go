@@ -30,24 +30,25 @@ import (
 const (
 	// EngineGraph is the paper's engine: materialize the happens-before
 	// graph, close it transitively, scan access pairs. Memory is
-	// O(nodes²); required for -dot, -explain, and trace minimization,
-	// which need the graph object.
+	// O(nodes²); required for -dot, -explain, trace minimization and
+	// the STOnly ablation, which need the graph object.
 	EngineGraph = "graph"
-	// EngineStream replays the trace once with per-context vector
-	// clocks and per-location shadow state — no graph, no closure.
-	// Memory is O(ops + contexts²-free clock width); race sets are
-	// identical to EngineGraph (CI diffs the two continuously).
+	// EngineStream, the default, replays the trace once with
+	// per-context vector clocks and per-location shadow state — no
+	// graph, no closure. Memory is O(ops + contexts²-free clock width);
+	// race sets are identical to EngineGraph (CI diffs the two
+	// continuously).
 	EngineStream = "stream"
 )
 
 // NormalizeEngine canonicalizes an engine selector: the empty string
-// means EngineGraph. Unknown names are an error listing the choices.
+// means EngineStream. Unknown names are an error listing the choices.
 func NormalizeEngine(engine string) (string, error) {
 	switch engine {
-	case "", EngineGraph:
-		return EngineGraph, nil
-	case EngineStream:
+	case "", EngineStream:
 		return EngineStream, nil
+	case EngineGraph:
+		return EngineGraph, nil
 	default:
 		return "", fmt.Errorf("unknown analysis engine %q (choices: %s, %s)", engine, EngineGraph, EngineStream)
 	}
@@ -63,11 +64,12 @@ type Options struct {
 	// HB selects the happens-before rule set; DefaultOptions uses the
 	// paper's full relation.
 	HB hb.Config
-	// Engine selects the analysis backend: EngineGraph (the default;
-	// also selected by "") or EngineStream. Both report identical race
-	// sets; they trade differently — the graph engine supports -dot/
-	// -explain/minimization and the STOnly ablation, the streaming
-	// engine analyzes traces whose closure would not fit in memory.
+	// Engine selects the analysis backend: EngineStream (the default;
+	// also selected by "") or EngineGraph. Both report identical race
+	// sets; they trade differently — the streaming engine analyzes
+	// traces whose closure would not fit in memory, the graph engine
+	// builds the Graph that -dot/-explain/minimization, graph budgets
+	// and the STOnly ablation need.
 	Engine string
 	// Dedup reports one race per (location, category), the paper's
 	// reporting granularity. When false, every racing pair is reported.

@@ -5,13 +5,16 @@ import (
 	"testing"
 
 	"droidracer/internal/hb"
+	"droidracer/internal/obs"
 	"droidracer/internal/paper"
 	"droidracer/internal/race"
 	"droidracer/internal/trace"
 )
 
 func TestAnalyzeFigure4(t *testing.T) {
-	res, err := Analyze(paper.Figure4(), DefaultOptions())
+	opts := DefaultOptions()
+	opts.Engine = EngineGraph
+	res, err := Analyze(paper.Figure4(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,5 +123,31 @@ func TestAnalyzeAblation(t *testing.T) {
 	}
 	if len(res.Races) > len(precise.Races) {
 		t.Fatalf("naive %d races > precise %d", len(res.Races), len(precise.Races))
+	}
+}
+
+// TestStreamAnalysisCountsRaces pins that droidracer_races_total counts
+// the races of a streaming analysis by category — the series is not
+// the graph engine's alone.
+func TestStreamAnalysisCountsRaces(t *testing.T) {
+	obs.MarkExporterAttached()
+	counter := func(c race.Category) *obs.Counter {
+		return obs.Default().Counter("droidracer_races_total", "", "category", c.String())
+	}
+	mt, cp := counter(race.Multithreaded).Value(), counter(race.CrossPosted).Value()
+	opts := DefaultOptions()
+	opts.Engine = EngineStream
+	res, err := Analyze(paper.Figure4(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine != EngineStream || res.Graph != nil {
+		t.Fatalf("engine = %q, graph = %v; want a streaming analysis", res.Engine, res.Graph)
+	}
+	if got := counter(race.Multithreaded).Value() - mt; got != 1 {
+		t.Errorf("races_total{category=multithreaded} rose by %d, want 1", got)
+	}
+	if got := counter(race.CrossPosted).Value() - cp; got != 1 {
+		t.Errorf("races_total{category=cross-posted} rose by %d, want 1", got)
 	}
 }

@@ -84,12 +84,6 @@ type Config struct {
 	// RetryAfter is the hint sent when the whole fleet is unavailable or
 	// the gateway is draining (default 10s).
 	RetryAfter time.Duration
-	// Engine, when set, is the fleet's default analysis engine ("graph"
-	// or "stream"), applied to forwards whose submission carried no
-	// X-Analysis-Engine header. A client's explicit header wins. The
-	// gateway forwards the selector without validating it; backends
-	// reject unknown engines with 400.
-	Engine string
 	// Seed makes probe-backoff jitter and forward-retry jitter
 	// deterministic for tests.
 	Seed int64
@@ -353,14 +347,6 @@ func (g *Gateway) routeSubmit(w http.ResponseWriter, r *http.Request, rec *obs.T
 
 	deadline := parseDeadline(r.Header.Get(server.DeadlineHeader))
 	clientID := r.Header.Get("X-Client-ID")
-	// The engine selector forwards verbatim; the backend validates it.
-	// The result cache stays keyed by body alone: both engines report
-	// identical race sets (the engine-differential CI gate), so a
-	// cached answer is correct regardless of which engine computed it.
-	engine := r.Header.Get(server.EngineHeader)
-	if engine == "" {
-		engine = g.cfg.Engine
-	}
 
 	// A key the fleet already accepted must not be re-executed on a
 	// different peer: route to the accepting backend, or — if it is down
@@ -370,7 +356,7 @@ func (g *Gateway) routeSubmit(w http.ResponseWriter, r *http.Request, rec *obs.T
 		gsp.SetAttr("coalesced", "true")
 		if g.backends[target].live.Load() {
 			fsp := g.startForwardSpan(rec, gsp, target)
-			resp, code, _, ferr := g.forward(r.Context(), target, key, body, deadline, clientID, engine, fsp.Context().Traceparent())
+			resp, code, _, ferr := g.forward(r.Context(), target, key, body, deadline, clientID, fsp.Context().Traceparent())
 			if ferr == nil || (resp != nil && code >= 400 && code < 500) {
 				fsp.SetAttr("outcome", forwardOutcome(ferr))
 				fsp.End()
@@ -408,7 +394,7 @@ func (g *Gateway) routeSubmit(w http.ResponseWriter, r *http.Request, rec *obs.T
 		}
 		walked = append(walked, target)
 		fsp := g.startForwardSpan(rec, gsp, target)
-		resp, code, inDoubt, ferr := g.forward(r.Context(), target, key, body, deadline, clientID, engine, fsp.Context().Traceparent())
+		resp, code, inDoubt, ferr := g.forward(r.Context(), target, key, body, deadline, clientID, fsp.Context().Traceparent())
 		if ferr == nil || (resp != nil && code >= 400 && code < 500) {
 			fsp.SetAttr("outcome", forwardOutcome(ferr))
 			fsp.End()
@@ -445,7 +431,7 @@ func (g *Gateway) routeSubmit(w http.ResponseWriter, r *http.Request, rec *obs.T
 // forward). The inDoubt result reports whether any attempt died in
 // flight — the backend may have spooled the trace without answering.
 func (g *Gateway) forward(ctx context.Context, target, key string, body []byte,
-	deadline time.Duration, clientID, engine, traceparent string) (*server.SubmitResponse, int, bool, error) {
+	deadline time.Duration, clientID, traceparent string) (*server.SubmitResponse, int, bool, error) {
 	fctx, cancel := context.WithTimeout(ctx, g.cfg.ForwardTimeout)
 	defer cancel()
 	cl := server.Client{
@@ -459,7 +445,6 @@ func (g *Gateway) forward(ctx context.Context, target, key string, body []byte,
 		Seed:            g.cfg.Seed ^ int64(fnv64a(key)),
 		Deadline:        deadline,
 		ClientID:        clientID,
-		Engine:          engine,
 		Traceparent:     traceparent,
 		RetryableStatus: func(code int) bool { return code >= 500 },
 	}
@@ -500,9 +485,10 @@ func (g *Gateway) startForwardSpan(rec *obs.TraceRec, gsp *obs.TSpan, target str
 func (g *Gateway) finishForward(w http.ResponseWriter, key, target string,
 	resp *server.SubmitResponse, code int, err error) {
 	g.brk.Success(target)
-	if err != nil {
-		// Decisive 4xx rejection (rate limit, body too large…): the
-		// backend is healthy and said no; relay its answer verbatim.
+	if err != nil || resp == nil || resp.Status == server.StatusRejected {
+		// Decisive 4xx rejection (rate limit, body too large, a 422
+		// malformed trace…): the backend is healthy and said no; relay
+		// its answer verbatim.
 		forwardsTotal(target, "rejected").Inc()
 		if resp == nil {
 			resp = &server.SubmitResponse{Status: server.StatusRejected}
@@ -536,7 +522,9 @@ func (g *Gateway) finishForward(w http.ResponseWriter, key, target string,
 // one for the same content key evicts the cached entry instead of
 // silently keeping either side — one of the two backends served rotted
 // state, and the next poll re-derives the answer from a backend rather
-// than from the cache.
+// than from the cache. The key is the body alone, whichever engine a
+// backend runs (racedetd -engine): both engines report identical race
+// sets.
 func (g *Gateway) cacheFill(key, target string, resp server.SubmitResponse) {
 	if resp.Status == server.StatusDone && !wellFormedDigest(resp.Digest) {
 		digestRejectsTotal.Inc()

@@ -218,6 +218,23 @@ func TestGatewayRejectionPassThrough(t *testing.T) {
 	}
 }
 
+// TestGatewayRelaysMalformedTraceRefusal pins that a backend's 422
+// admission refusal (a size directive the body cannot back) reaches
+// the client as 422, not as an acceptance.
+func TestGatewayRelaysMalformedTraceRefusal(t *testing.T) {
+	b := newFakeBackend(t)
+	b.onSubmit = func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusUnprocessableEntity, &server.SubmitResponse{
+			Status: server.StatusRejected, Reason: server.RejectMalformedTrace,
+		})
+	}
+	g := newTestGateway(t, Config{}, b)
+	resp, code := postBody(t, g, "#! ops=400000000\nthreadinit(t1)\n")
+	if code != http.StatusUnprocessableEntity || resp.Status != server.StatusRejected || resp.Reason != server.RejectMalformedTrace {
+		t.Fatalf("gateway answered %d %+v, want the backend's 422 %s", code, resp, server.RejectMalformedTrace)
+	}
+}
+
 func TestGatewayFleetUnavailable(t *testing.T) {
 	b := newFakeBackend(t)
 	g := newTestGateway(t, Config{RetryAfter: 15 * time.Second}, b)

@@ -88,6 +88,10 @@ func TestSentinelBackendProcess(t *testing.T) {
 	})
 	snt.Start()
 	defer snt.Stop()
+	// The bombs are closure bombs: only the graph engine goes quadratic
+	// on them, so these backends run it.
+	aopts := core.DefaultOptions()
+	aopts.Engine = core.EngineGraph
 	var srv *server.Server
 	pool := jobs.NewPool(jobs.Config{
 		Workers:    1,
@@ -103,7 +107,7 @@ func TestSentinelBackendProcess(t *testing.T) {
 	srv = server.New(server.Config{
 		Pool:        pool,
 		Spool:       spool,
-		Analyze:     core.DefaultOptions(),
+		Analyze:     aopts,
 		Workers:     1,
 		Events:      events,
 		Rate:        10000,

@@ -270,7 +270,7 @@ func TestGatewayFailoverTracePropagation(t *testing.T) {
 	if !sawFailed || !sawOK || len(forwardBackends) != 2 {
 		t.Fatalf("want one failed and one ok forward across 2 backends, got %+v", spanNames(spans))
 	}
-	for _, want := range []string{"phase.parse", "phase.validate", "phase.annotate", "phase.happens-before", "phase.race-scan"} {
+	for _, want := range []string{"phase.parse", "phase.validate", "phase.annotate", "phase.stream-replay"} {
 		if !phases[want] {
 			t.Errorf("missing %s span; phases seen: %v", want, phases)
 		}

@@ -20,8 +20,6 @@
 package hb
 
 import (
-	"time"
-
 	"droidracer/internal/bitset"
 	"droidracer/internal/budget"
 	"droidracer/internal/trace"
@@ -137,7 +135,6 @@ func Build(info *trace.Info, cfg Config) *Graph {
 // callers should degrade instead (see core.AnalyzeContext). A nil
 // checker reproduces Build exactly.
 func BuildBudgeted(info *trace.Info, cfg Config, ck *budget.Checker) (*Graph, error) {
-	start := time.Now()
 	g := &Graph{cfg: cfg, info: info, ck: ck, edgeCount: -1}
 	g.buildNodes()
 	n := len(g.nodes)
@@ -182,7 +179,7 @@ func BuildBudgeted(info *trace.Info, cfg Config, ck *budget.Checker) (*Graph, er
 		// TRANS-* contribution stays 0.
 		g.finalizeRuleCounts()
 	}
-	g.publishMetrics(start)
+	g.publishMetrics()
 	return g, err
 }
 

@@ -1,10 +1,6 @@
 package hb
 
-import (
-	"time"
-
-	"droidracer/internal/obs"
-)
+import "droidracer/internal/obs"
 
 // Rule identifies the Figure 6–7 happens-before rule that contributed
 // an edge. Base rules are counted exactly at their addST/addMT call
@@ -69,11 +65,6 @@ var (
 		}
 		return
 	}()
-	buildsTotal = obs.Default().Counter("droidracer_hb_builds_total",
-		"Happens-before graphs built.")
-	buildDur = obs.Default().Histogram("droidracer_hb_build_duration_seconds",
-		"Wall-clock time per happens-before graph build (base edges + closure).",
-		obs.DurationBuckets())
 	graphNodes = obs.Default().Gauge("droidracer_hb_graph_nodes",
 		"Nodes in the most recently built happens-before graph (after merging).")
 	skippedTotal = obs.Default().Counter("droidracer_hb_skipped_edges_total",
@@ -82,12 +73,10 @@ var (
 
 // publishMetrics records one finished build into the process-wide
 // registry. Called once per Build, never in the hot loops.
-func (g *Graph) publishMetrics(start time.Time) {
+func (g *Graph) publishMetrics() {
 	if !obs.ExporterAttached() {
 		return
 	}
-	buildsTotal.Inc()
-	buildDur.ObserveDuration(time.Since(start))
 	graphNodes.Set(int64(len(g.nodes)))
 	skippedTotal.Add(g.skipped)
 	for r := Rule(0); r < numRules; r++ {

@@ -350,8 +350,10 @@ func writeTestTrace(t *testing.T, dir string) string {
 func TestPoolRetainsSlimOutcomes(t *testing.T) {
 	var seen report.Outcome
 	p := NewPool(Config{Workers: 1, OnFinish: func(out report.Outcome) { seen = out }})
+	opts := core.DefaultOptions()
+	opts.Engine = core.EngineGraph
 	err := p.Submit(Job{Name: "figure4", Run: func(ctx context.Context, _ budget.Limits) (*core.Result, error) {
-		return core.AnalyzeContext(ctx, paper.Figure4(), core.DefaultOptions())
+		return core.AnalyzeContext(ctx, paper.Figure4(), opts)
 	}})
 	if err != nil {
 		t.Fatal(err)

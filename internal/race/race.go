@@ -12,7 +12,6 @@ package race
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"droidracer/internal/budget"
 	"droidracer/internal/hb"
@@ -95,7 +94,6 @@ func (d *Detector) Detect() []Race {
 // sound — every entry is a real race under the supplied graph — but may
 // miss races among unscanned pairs. A nil checker reproduces Detect.
 func (d *Detector) DetectBudgeted(ck *budget.Checker) ([]Race, error) {
-	start := time.Now()
 	tr := d.info.Trace()
 	byLoc := make(map[trace.Loc][]int)
 	for i, op := range tr.Ops() {
@@ -131,7 +129,6 @@ scan:
 		}
 		return races[i].Second < races[j].Second
 	})
-	publishScan(races, time.Since(start).Seconds())
 	return races, tripErr
 }
 

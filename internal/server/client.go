@@ -34,9 +34,6 @@ type Client struct {
 	Seed int64
 	// Deadline, when positive, is sent as X-Analysis-Deadline.
 	Deadline time.Duration
-	// Engine, when set, is sent as X-Analysis-Engine and selects the
-	// analysis backend ("graph" or "stream") for this submission.
-	Engine string
 	// ClientID, when set, is sent as X-Client-ID (the rate-limit
 	// principal).
 	ClientID string
@@ -106,9 +103,6 @@ func (c *Client) Submit(ctx context.Context, body []byte) (*SubmitResponse, []At
 		}
 		if c.ClientID != "" {
 			req.Header.Set("X-Client-ID", c.ClientID)
-		}
-		if c.Engine != "" {
-			req.Header.Set(EngineHeader, c.Engine)
 		}
 		if c.Traceparent != "" {
 			req.Header.Set(obs.TraceparentHeader, c.Traceparent)

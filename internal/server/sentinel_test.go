@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"droidracer/internal/core"
 	"droidracer/internal/faultinject"
 	"droidracer/internal/jobs"
 	"droidracer/internal/journal"
@@ -40,6 +41,10 @@ func testIsolator(extraEnv ...string) *sentinel.Isolator {
 	}
 }
 
+// graphEngine runs a harness on the graph engine, whose closure the
+// heavyBody bombs target and whose quadratic cost model admission uses.
+var graphEngine = core.Options{Engine: core.EngineGraph}
+
 // heavyBody builds a valid trace whose alternating-thread accesses
 // defeat node merging, so the admission estimate is large while the body
 // stays small — the memory-bomb shape.
@@ -54,7 +59,7 @@ func heavyBody(writes int) []byte {
 
 func TestSubmitCostExceeded(t *testing.T) {
 	h := newHarness(t, jobs.Config{Workers: 1},
-		Config{Cost: sentinel.CostLimits{Hard: 1 << 20}})
+		Config{Analyze: graphEngine, Cost: sentinel.CostLimits{Hard: 1 << 20}})
 	resp, httpResp := h.post(t, heavyBody(4000), nil)
 	if httpResp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("heavy submit = %d, want 413", httpResp.StatusCode)
@@ -93,6 +98,7 @@ func TestBrownoutDegradesAndRefuses(t *testing.T) {
 	// runs stay fast even race-instrumented: TSan multiplies both the
 	// closure time and the worker's address-space appetite.
 	h := newHarness(t, jobs.Config{Workers: 1}, Config{
+		Analyze:  graphEngine,
 		Sentinel: snt,
 		Cost:     sentinel.CostLimits{Soft: 256 << 10},
 		Isolator: testIsolator(),
@@ -182,7 +188,8 @@ func TestWorkerOOMKilledQuarantinedAndReplayed(t *testing.T) {
 	h := newHarness(t,
 		jobs.Config{Workers: 1, Quarantine: &jobs.Quarantine{Dir: qdir}},
 		Config{
-			Cost: sentinel.CostLimits{Soft: 1 << 20},
+			Analyze: graphEngine,
+			Cost:    sentinel.CostLimits{Soft: 1 << 20},
 			Isolator: testIsolator(
 				faultinject.EnvKillpoint + "=sentinel.worker"),
 		})

@@ -123,6 +123,8 @@ type Config struct {
 	Spool string
 	// Analyze is the base analysis configuration for accepted jobs; a
 	// request's X-Analysis-Deadline can only tighten its wall budget.
+	// Its Engine, normalized by New (empty means stream), also picks
+	// the admission cost model.
 	Analyze core.Options
 	// Workers is the pool's worker count, used to derive Retry-After
 	// from queue depth (default 1).
@@ -256,6 +258,11 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Events == nil {
 		cfg.Events = obs.Nop()
+	}
+	// Admission prices the engine that will run, so resolve the default
+	// here once; an unknown name is left for the analysis to refuse.
+	if eng, err := core.NormalizeEngine(cfg.Analyze.Engine); err == nil {
+		cfg.Analyze.Engine = eng
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -497,13 +504,8 @@ func clientID(r *http.Request) string {
 // capped by Config.MaxDeadline.
 const DeadlineHeader = "X-Analysis-Deadline"
 
-// EngineHeader selects the analysis backend for one submission
-// ("graph" or "stream"); absent, the server's configured engine runs.
-// The choice also selects the admission cost model — see admitCost.
-const EngineHeader = "X-Analysis-Engine"
-
 // requestOptions derives the analysis options for one submission from
-// the base options and the deadline and engine headers.
+// the base options and the deadline header.
 func (s *Server) requestOptions(r *http.Request) (core.Options, error) {
 	opts := s.cfg.Analyze
 	req := time.Duration(0)
@@ -519,13 +521,6 @@ func (s *Server) requestOptions(r *http.Request) (core.Options, error) {
 	}
 	if req > 0 && (opts.Budget.Wall == 0 || req < opts.Budget.Wall) {
 		opts.Budget.Wall = req
-	}
-	if h := r.Header.Get(EngineHeader); h != "" {
-		eng, err := core.NormalizeEngine(h)
-		if err != nil {
-			return opts, fmt.Errorf("bad %s: %w", EngineHeader, err)
-		}
-		opts.Engine = eng
 	}
 	return opts, nil
 }

@@ -63,7 +63,9 @@ func newHarness(t *testing.T, poolCfg jobs.Config, srvCfg Config) *harness {
 	h.pool = jobs.NewPool(poolCfg)
 	srvCfg.Pool = h.pool
 	srvCfg.Spool = h.spool
+	engine := srvCfg.Analyze.Engine
 	srvCfg.Analyze = core.DefaultOptions()
+	srvCfg.Analyze.Engine = engine
 	srv = New(srvCfg)
 	h.srv = srv
 	h.ts = httptest.NewServer(srv.Handler())

@@ -1,19 +1,12 @@
 package stream
 
-import (
-	"time"
-
-	"droidracer/internal/obs"
-)
+import "droidracer/internal/obs"
 
 // Replay metrics, pre-registered at init so a scrape sees the full
 // droidracer_stream_* set (at zero) before the first trace is analyzed.
+// Replay counts and durations are droidracer_phase_duration_seconds
+// {phase="stream-replay"}; race counts are droidracer_races_total.
 var (
-	replaysTotal = obs.Default().Counter("droidracer_stream_replays_total",
-		"Streaming-engine replays completed.")
-	replayDur = obs.Default().Histogram("droidracer_stream_replay_duration_seconds",
-		"Wall-clock time per streaming replay (clock transfers + shadow-state scan).",
-		obs.DurationBuckets())
 	opsTotal = obs.Default().Counter("droidracer_stream_ops_total",
 		"Trace operations replayed by the streaming engine.")
 	joinsTotal = obs.Default().Counter("droidracer_stream_clock_joins_total",
@@ -24,22 +17,17 @@ var (
 		"Candidate access pairs examined by the shadow-state scan.")
 	contextsGauge = obs.Default().Gauge("droidracer_stream_contexts",
 		"Clock contexts in the most recent streaming replay.")
-	racesTotal = obs.Default().Counter("droidracer_stream_races_total",
-		"Races reported by the streaming engine.")
 )
 
 // publishReplay records one finished replay into the process-wide
 // registry. Called once per Run, never in the hot loop.
-func publishReplay(o *Outcome, d time.Duration) {
+func publishReplay(o *Outcome) {
 	if !obs.ExporterAttached() {
 		return
 	}
-	replaysTotal.Inc()
-	replayDur.ObserveDuration(d)
 	opsTotal.Add(o.Stats.Ops)
 	joinsTotal.Add(o.Stats.Joins)
 	epochHitsTotal.Add(o.Stats.EpochHits)
 	pairsTotal.Add(o.Stats.Pairs)
 	contextsGauge.Set(int64(o.Stats.Contexts))
-	racesTotal.Add(len(o.Races))
 }

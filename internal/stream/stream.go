@@ -29,7 +29,6 @@ package stream
 import (
 	"errors"
 	"sort"
-	"time"
 
 	"droidracer/internal/budget"
 	"droidracer/internal/hb"
@@ -99,7 +98,6 @@ func Run(info *trace.Info, opts Options, ck *budget.Checker) (*Outcome, error) {
 	if opts.HB.STOnly {
 		return nil, ErrSTOnly
 	}
-	start := time.Now()
 	e := newEngine(info, opts, ck)
 	err := e.replay()
 	out := &Outcome{
@@ -112,7 +110,7 @@ func Run(info *trace.Info, opts Options, ck *budget.Checker) (*Outcome, error) {
 		stV:    e.stV,
 		fullV:  e.fullV,
 	}
-	publishReplay(out, time.Since(start))
+	publishReplay(out)
 	return out, err
 }
 
@@ -242,10 +240,10 @@ type engine struct {
 	tasks   map[trace.TaskID]*taskState
 	postOf  map[int]*taskState // post trace index → its task
 
-	enables  map[trace.TaskID]snap     // views at each task's first enable
-	attach   map[trace.ThreadID]snap   // views at each thread's attachQ
-	forkAcc  map[trace.ThreadID]vc.VC  // Full views of forks targeting a thread
-	exitSnap map[trace.ThreadID]vc.VC  // Full view at a thread's last exit
+	enables  map[trace.TaskID]snap    // views at each task's first enable
+	attach   map[trace.ThreadID]snap  // views at each thread's attachQ
+	forkAcc  map[trace.ThreadID]vc.VC // Full views of forks targeting a thread
+	exitSnap map[trace.ThreadID]vc.VC // Full view at a thread's last exit
 	lastInit map[trace.ThreadID]int
 	lastExit map[trace.ThreadID]int
 	lockRel  map[trace.LockID]map[trace.ThreadID]vc.VC

@@ -49,11 +49,13 @@ func parseInto(tr *Trace, r io.Reader) (*Trace, error) {
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		op, err := ParseOp(line)
+		// Only operation lines become strings, one each; the op's
+		// names are substrings of it.
+		op, err := ParseOp(string(line))
 		if err != nil {
 			parseErrors.Inc()
 			return nil, fmt.Errorf("line %d: %w", lineno, err)
@@ -151,16 +153,23 @@ func DeclaredOps(data []byte) (int, error) {
 }
 
 // ParseBytes parses an in-memory trace — a thin wrapper over the
-// streaming Parse for callers that already hold the bytes (fuzzers,
-// tests, corruption operators). A declared-size directive (see
-// DeclaredOps) is validated against the input length and then drives
-// preallocation; a count the bytes cannot back is refused with a
-// *SizeError before any allocation happens.
+// streaming Parse for callers that already hold the bytes (the
+// ingestion path, fuzzers, tests, corruption operators). A
+// declared-size directive (see DeclaredOps) is validated against the
+// input length and then drives preallocation; a count the bytes cannot
+// back is refused with a *SizeError before any allocation happens.
+// Without a directive the line count sizes the operation slice, capped
+// at the same bytes-per-op bound a directive must meet: blank and
+// comment lines are far shorter than minOpBytes, so the raw count alone
+// would let a body of bare newlines allocate ~90 bytes per input byte.
 func ParseBytes(data []byte) (*Trace, error) {
 	n, err := DeclaredOps(data)
 	if err != nil {
 		parseErrors.Inc()
 		return nil, err
+	}
+	if n == 0 {
+		n = min(bytes.Count(data, []byte{'\n'})+1, len(data)/minOpBytes)
 	}
 	return parseInto(New(n), bytes.NewReader(data))
 }
@@ -191,16 +200,24 @@ func clip(s string) string {
 	return s[:max] + fmt.Sprintf("... (%d bytes)", len(s))
 }
 
-// opArity is the argument count of every known opcode; ParseOp rejects
-// unknown opcodes before looking at arguments.
-var opArity = map[string]int{
-	"threadinit": 1, "threadexit": 1, "attachQ": 1, "loopOnQ": 1,
-	"fork": 2, "join": 2,
-	"post": 3, "postf": 3, "postd": 4,
-	"begin": 2, "end": 2, "enable": 2, "cancel": 2,
-	"acquire": 2, "release": 2,
-	"read": 2, "write": 2,
+// opcodes is the one table of the textual format's opcode names: the
+// Kind each parses to and its argument count. post, postf and postd all
+// parse to OpPost; the name picks a front or delayed post.
+var opcodes = map[string]struct {
+	kind  Kind
+	arity int
+}{
+	"threadinit": {OpThreadInit, 1}, "threadexit": {OpThreadExit, 1},
+	"attachQ": {OpAttachQ, 1}, "loopOnQ": {OpLoopOnQ, 1},
+	"fork": {OpFork, 2}, "join": {OpJoin, 2},
+	"post": {OpPost, 3}, "postf": {OpPost, 3}, "postd": {OpPost, 4},
+	"begin": {OpBegin, 2}, "end": {OpEnd, 2}, "enable": {OpEnable, 2}, "cancel": {OpCancel, 2},
+	"acquire": {OpAcquire, 2}, "release": {OpRelease, 2},
+	"read": {OpRead, 2}, "write": {OpWrite, 2},
 }
+
+// maxArity is the largest argument count in opcodes (postd's).
+const maxArity = 4
 
 // ParseOp parses a single operation in its textual form.
 func ParseOp(s string) (Op, error) {
@@ -209,21 +226,24 @@ func ParseOp(s string) (Op, error) {
 		return Op{}, fmt.Errorf("malformed operation %q", clip(s))
 	}
 	name := s[:open]
-	wantArity, known := opArity[name]
+	oc, known := opcodes[name]
 	if !known {
 		return Op{}, fmt.Errorf("unknown opcode %q", clip(name))
 	}
-	args := strings.Split(s[open+1:len(s)-1], ",")
-	for i := range args {
-		args[i] = strings.TrimSpace(args[i])
+	list := s[open+1 : len(s)-1]
+	if n := strings.Count(list, ",") + 1; n != oc.arity {
+		return Op{}, fmt.Errorf("%s: want %d arguments, got %d in %q", name, oc.arity, n, clip(s))
 	}
-	if len(args) != wantArity {
-		return Op{}, fmt.Errorf("%s: want %d arguments, got %d in %q", name, wantArity, len(args), clip(s))
+	var args [maxArity]string
+	for i := 0; i < oc.arity-1; i++ {
+		comma := strings.IndexByte(list, ',')
+		args[i], list = strings.TrimSpace(list[:comma]), list[comma+1:]
 	}
+	args[oc.arity-1] = strings.TrimSpace(list)
 	// Names (tasks, locks, locations) must be non-empty, or formatting
 	// the operation would not round-trip.
-	nonEmpty := func(what string, i int) error {
-		if args[i] == "" {
+	nonEmpty := func(what string) error {
+		if args[1] == "" {
 			return fmt.Errorf("%s: empty %s name in %q", name, what, clip(s))
 		}
 		return nil
@@ -232,72 +252,44 @@ func ParseOp(s string) (Op, error) {
 	if err != nil {
 		return Op{}, fmt.Errorf("%s: %w", name, err)
 	}
-	switch name {
-	case "threadinit", "threadexit", "attachQ", "loopOnQ":
-		kinds := map[string]Kind{
-			"threadinit": OpThreadInit, "threadexit": OpThreadExit,
-			"attachQ": OpAttachQ, "loopOnQ": OpLoopOnQ,
-		}
-		return Op{Kind: kinds[name], Thread: thr}, nil
-	case "fork", "join":
-		other, err := parseThread(args[1])
-		if err != nil {
+	op := Op{Kind: oc.kind, Thread: thr}
+	switch oc.kind {
+	case OpFork, OpJoin:
+		if op.Other, err = parseThread(args[1]); err != nil {
 			return Op{}, fmt.Errorf("%s: %w", name, err)
 		}
-		k := OpFork
-		if name == "join" {
-			k = OpJoin
-		}
-		return Op{Kind: k, Thread: thr, Other: other}, nil
-	case "post", "postf":
-		if err := nonEmpty("task", 1); err != nil {
+	case OpPost:
+		if err := nonEmpty("task"); err != nil {
 			return Op{}, err
 		}
-		dest, err := parseThread(args[2])
-		if err != nil {
+		op.Task = TaskID(args[1])
+		if op.Other, err = parseThread(args[2]); err != nil {
 			return Op{}, fmt.Errorf("%s: %w", name, err)
 		}
-		return Op{Kind: OpPost, Thread: thr, Task: TaskID(args[1]), Other: dest, Front: name == "postf"}, nil
-	case "postd":
-		if err := nonEmpty("task", 1); err != nil {
+		op.Front = name == "postf"
+		if name == "postd" {
+			op.Delayed = true
+			if op.Delay, err = strconv.ParseInt(args[3], 10, 64); err != nil || op.Delay < 0 {
+				return Op{}, fmt.Errorf("postd: bad delay %q", args[3])
+			}
+		}
+	case OpBegin, OpEnd, OpEnable, OpCancel:
+		if err := nonEmpty("task"); err != nil {
 			return Op{}, err
 		}
-		dest, err := parseThread(args[2])
-		if err != nil {
-			return Op{}, fmt.Errorf("postd: %w", err)
-		}
-		delay, err := strconv.ParseInt(args[3], 10, 64)
-		if err != nil || delay < 0 {
-			return Op{}, fmt.Errorf("postd: bad delay %q", args[3])
-		}
-		return Op{Kind: OpPost, Thread: thr, Task: TaskID(args[1]), Other: dest, Delayed: true, Delay: delay}, nil
-	case "begin", "end", "enable", "cancel":
-		if err := nonEmpty("task", 1); err != nil {
+		op.Task = TaskID(args[1])
+	case OpAcquire, OpRelease:
+		if err := nonEmpty("lock"); err != nil {
 			return Op{}, err
 		}
-		kinds := map[string]Kind{
-			"begin": OpBegin, "end": OpEnd, "enable": OpEnable, "cancel": OpCancel,
-		}
-		return Op{Kind: kinds[name], Thread: thr, Task: TaskID(args[1])}, nil
-	case "acquire", "release":
-		if err := nonEmpty("lock", 1); err != nil {
+		op.Lock = LockID(args[1])
+	case OpRead, OpWrite:
+		if err := nonEmpty("location"); err != nil {
 			return Op{}, err
 		}
-		k := OpAcquire
-		if name == "release" {
-			k = OpRelease
-		}
-		return Op{Kind: k, Thread: thr, Lock: LockID(args[1])}, nil
-	default: // "read", "write"
-		if err := nonEmpty("location", 1); err != nil {
-			return Op{}, err
-		}
-		k := OpRead
-		if name == "write" {
-			k = OpWrite
-		}
-		return Op{Kind: k, Thread: thr, Loc: Loc(args[1])}, nil
+		op.Loc = Loc(args[1])
 	}
+	return op, nil
 }
 
 func parseThread(s string) (ThreadID, error) {

@@ -104,3 +104,22 @@ func TestParseBytesDirectiveRoundTrip(t *testing.T) {
 		t.Fatalf("under-declared parse: len=%d err=%v", under.Len(), err)
 	}
 }
+
+func TestParseBytesLineCountHintBounded(t *testing.T) {
+	// Without a directive the newline count sizes the op slice; blank and
+	// comment lines must not buy more capacity than the bytes-per-op
+	// bound a directive is held to.
+	for name, line := range map[string]string{"newlines": "\n", "comments": "#\n"} {
+		body := []byte(strings.Repeat(line, (4<<20)/len(line)))
+		tr, err := ParseBytes(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tr.Len() != 0 {
+			t.Fatalf("%s: parsed %d ops from an op-free body", name, tr.Len())
+		}
+		if c, max := cap(tr.ops), len(body)/minOpBytes; c > max {
+			t.Fatalf("%s: cap(ops) = %d for %d bytes, want <= %d", name, c, len(body), max)
+		}
+	}
+}

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	racedetd -spool DIR -state DIR [-engine stream|graph] [-workers N]
+//	racedetd -spool DIR -state DIR [-workers N]
 //	         [-queue N] [-deadline 30s] [-retries N] [-poll 2s] [-once]
 //	         [-drain-timeout 30s] [-metrics-addr HOST:PORT]
 //	         [-events PATH] [-listen HOST:PORT] [-max-body BYTES]
@@ -15,9 +15,9 @@
 //	         [-mem-watermark BYTES] [-cost-soft BYTES] [-cost-hard BYTES]
 //	         [-worker-mem BYTES] [-worker-wall 2m] [-isolate]
 //
-// -engine picks the analysis engine every job runs: the streaming
-// vector-clock engine by default, or the paper's graph closure. Both
-// report the same races; a served result never carries the graph.
+// Every job runs the streaming vector-clock engine, which reports the
+// graph closure's races in linear memory while clocks stay narrow; the
+// graph engine (racedet -engine graph) is the offline explainer.
 //
 // Resource governance (see internal/sentinel and DESIGN.md §16):
 // -cost-hard refuses submissions whose estimated analysis footprint no
@@ -27,9 +27,9 @@
 // (GOMEMLIMIT + RLIMIT_AS) and the -worker-wall watchdog, so a memory
 // bomb costs one quarantine record instead of the daemon.
 // -mem-watermark arms the brownout sentinel: above that heap level the
-// daemon degrades non-heavy work to the pure-MT baseline, refuses heavy
-// work 503 resource-degraded, and reports "resource" on /readyz so
-// gateway probers route around it until it recovers.
+// daemon refuses heavy work 503 resource-degraded and reports
+// "resource" on /readyz so gateway probers route around it until it
+// recovers; non-heavy work still runs the full analysis.
 //
 // -metrics-addr starts the debug HTTP listener: Prometheus-text
 // /metrics, expvar /debug/vars, and net/http/pprof under /debug/pprof/.
@@ -102,7 +102,6 @@ func main() {
 	state := flag.String("state", "", "state directory for the completed-work journal")
 	workers := flag.Int("workers", 2, "concurrent analysis workers")
 	queue := flag.Int("queue", 16, "admission queue depth; a full queue sheds new work")
-	engine := flag.String("engine", "", "analysis engine for every job: stream (default) or graph (the paper's closure; admission costs it quadratically)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget per analysis attempt (0 = unlimited)")
 	retries := flag.Int("retries", 1, "extra attempts per job after a transient failure")
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "base backoff between attempts")
@@ -221,13 +220,6 @@ func main() {
 			}
 		},
 	})
-	aopts := core.DefaultOptions()
-	eng, err := core.NormalizeEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "racedetd: %v\n", err)
-		os.Exit(2)
-	}
-	aopts.Engine = eng
 	// Resource governance: the brownout sentinel samples the daemon's own
 	// heap, and the isolator re-execs this binary as `racedetd -worker`
 	// for heavy inputs so a memory bomb dies in a subprocess.
@@ -251,7 +243,7 @@ func main() {
 	srv = server.New(server.Config{
 		Pool:          pool,
 		Spool:         *spool,
-		Analyze:       aopts,
+		Analyze:       core.DefaultOptions(),
 		Workers:       *workers,
 		MaxBody:       *maxBody,
 		MaxInflight:   *maxInflight,

@@ -150,10 +150,10 @@ func hostileTrace(tb testing.TB, n int) *droidracer.Trace {
 }
 
 // TestStreamAdmitsHostileTrace is the cost-governance acceptance gate:
-// the alternating-thread bomb that admission 413s under the graph
-// engine's quadratic model classifies as normal work under the
-// streaming engine's linear model — and the stream engine actually
-// analyzes it, finding its races, without building a graph.
+// the alternating-thread bomb, whose O(nodes²) closure no ceiling
+// admits, classifies as normal work under the streaming cost model —
+// and the stream engine actually analyzes it, finding its races,
+// without building a graph.
 func TestStreamAdmitsHostileTrace(t *testing.T) {
 	n := 1_000_000
 	if testing.Short() {
@@ -168,17 +168,12 @@ func TestStreamAdmitsHostileTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A soft budget generous enough for any linear-cost job: the graph
-	// engine's quadratic estimate for this trace (~hundreds of GB)
-	// overshoots even the hard ceiling by orders of magnitude, while the
-	// stream engine's linear estimate (~160 MB for a million ops) sits
-	// comfortably under the soft one.
+	// A soft budget generous enough for any linear-cost job: three
+	// threads keep every clock at most three components wide, so the
+	// estimate is the per-op term (~240 MB for a million ops).
 	lim := sentinel.CostLimits{Soft: 256 << 20, Hard: 1 << 30}
-	if got := est.ClassifyEngine(lim, false); got != sentinel.ClassRejected {
-		t.Errorf("graph engine should reject the bomb (est %d bytes), classified %s", est.MemBytes, got)
-	}
-	if got := est.ClassifyEngine(lim, true); got != sentinel.ClassNormal {
-		t.Errorf("stream engine should admit the bomb (est %d bytes), classified %s", est.StreamBytes, got)
+	if got := est.Classify(lim); got != sentinel.ClassNormal {
+		t.Errorf("stream cost model should admit the bomb (est %d bytes), classified %s", est.StreamBytes, got)
 	}
 
 	opts := engineOpts(droidracer.EngineStream)

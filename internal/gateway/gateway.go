@@ -309,7 +309,7 @@ func (g *Gateway) routeSubmit(w http.ResponseWriter, r *http.Request, rec *obs.T
 		})
 		return
 	}
-	if len(strings.TrimSpace(string(body))) == 0 {
+	if len(bytes.TrimSpace(body)) == 0 {
 		respond(w, http.StatusBadRequest, &server.SubmitResponse{
 			Status: server.StatusRejected, Reason: server.RejectEmptyBody,
 		})
@@ -522,9 +522,7 @@ func (g *Gateway) finishForward(w http.ResponseWriter, key, target string,
 // one for the same content key evicts the cached entry instead of
 // silently keeping either side — one of the two backends served rotted
 // state, and the next poll re-derives the answer from a backend rather
-// than from the cache. The key is the body alone, whichever engine a
-// backend runs (racedetd -engine): both engines report identical race
-// sets.
+// than from the cache.
 func (g *Gateway) cacheFill(key, target string, resp server.SubmitResponse) {
 	if resp.Status == server.StatusDone && !wellFormedDigest(resp.Digest) {
 		digestRejectsTotal.Inc()

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"droidracer/internal/sentinel"
 	"droidracer/internal/server"
 )
 
@@ -500,4 +501,23 @@ func homeBody(t *testing.T, g *Gateway, backend string, salt int) string {
 	}
 	t.Fatal("no body hashed home to the backend in 10000 tries")
 	return ""
+}
+
+// TestGatewayBlankBodyNotCopied pins that the empty-body check reads
+// the submitted bytes in place: a blank body costs the gateway its read
+// and nothing close to a second copy.
+func TestGatewayBlankBodyNotCopied(t *testing.T) {
+	g := newTestGateway(t, Config{}, newFakeBackend(t))
+	blank := strings.Repeat(" \n", 410<<10)
+	submitBlank := func() {
+		if _, code := postBody(t, g, blank); code != http.StatusBadRequest {
+			t.Fatalf("blank submit = %d, want 400", code)
+		}
+	}
+	submitBlank() // warm up lazily built state
+	read := sentinel.MeasureAlloc(5, func() { io.ReadAll(strings.NewReader(blank)) })
+	submit := sentinel.MeasureAlloc(5, submitBlank)
+	if extra := submit - read; extra > int64(len(blank))/2 {
+		t.Fatalf("blank %d-byte submit allocated %d bytes beyond reading it", len(blank), extra)
+	}
 }

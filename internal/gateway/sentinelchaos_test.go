@@ -33,7 +33,7 @@ const sentinelBackendEnv = "DROIDRACER_GW_SENTINEL_BACKEND"
 const sentinelWorkerMarker = "DROIDRACER_GW_SENTINEL_WORKER"
 
 // sentinelWorkerMem is the worker sandbox budget in the chaos test,
-// deliberately far below what a bomb's closure needs.
+// deliberately far below what a bomb's clock snapshots need.
 const sentinelWorkerMem = 64 << 20
 
 // TestSentinelWorkerHelper is the isolated worker subprocess of the
@@ -88,10 +88,6 @@ func TestSentinelBackendProcess(t *testing.T) {
 	})
 	snt.Start()
 	defer snt.Stop()
-	// The bombs are closure bombs: only the graph engine goes quadratic
-	// on them, so these backends run it.
-	aopts := core.DefaultOptions()
-	aopts.Engine = core.EngineGraph
 	var srv *server.Server
 	pool := jobs.NewPool(jobs.Config{
 		Workers:    1,
@@ -107,7 +103,7 @@ func TestSentinelBackendProcess(t *testing.T) {
 	srv = server.New(server.Config{
 		Pool:        pool,
 		Spool:       spool,
-		Analyze:     aopts,
+		Analyze:     core.DefaultOptions(),
 		Workers:     1,
 		Events:      events,
 		Rate:        10000,
@@ -204,20 +200,6 @@ func sentinelBackendCmd(t *testing.T, dir string, extraEnv ...string) (*exec.Cmd
 	return cmd, &out
 }
 
-// bombBody builds a valid, small (sub-megabyte) trace whose alternating-
-// thread accesses defeat §6 node merging: the closure's two n×n bitset
-// matrices for its ~60k nodes need ~900 MB, an order of magnitude past
-// the worker sandbox. An unguarded daemon analyzing it in-process dies.
-func bombBody(writes int) []byte {
-	var sb strings.Builder
-	sb.Grow(writes*12 + 64)
-	sb.WriteString("threadinit(t1)\nfork(t1,t2)\nthreadinit(t2)\n")
-	for i := 0; i < writes; i++ {
-		fmt.Fprintf(&sb, "write(t%d,x)\n", 1+i%2)
-	}
-	return []byte(sb.String())
-}
-
 // TestSentinelFleetChaos is the resource-governance fleet proof: memory
 // bombs mixed into normal traffic through the gateway cost the fleet
 // exactly one "resource" quarantine record each and zero daemon deaths;
@@ -286,7 +268,7 @@ func TestSentinelFleetChaos(t *testing.T) {
 	for _, b := range corpus {
 		keyToBody[server.IdempotencyKey(b)] = b
 	}
-	bombs := [][]byte{bombBody(60000), bombBody(64000)}
+	bombs := [][]byte{sentinel.WideClockBody(1500, 8000), sentinel.WideClockBody(1500, 8500)}
 	bombKeys := make([]string, len(bombs))
 	for i, b := range bombs {
 		bombKeys[i] = server.IdempotencyKey(b)
@@ -367,7 +349,7 @@ func TestSentinelFleetChaos(t *testing.T) {
 				break
 			}
 			if err == nil && resp.Status == server.StatusDone {
-				t.Fatalf("bomb %d completed?! a %d-byte worker sandbox absorbed a ~900MB closure", i, sentinelWorkerMem)
+				t.Fatalf("bomb %d completed?! a %d-byte worker sandbox absorbed ~900MB of clock snapshots", i, sentinelWorkerMem)
 			}
 			if pollCtx.Err() != nil {
 				t.Fatalf("bomb %d never quarantined\ngateway:\n%s", i, gwLog.String())

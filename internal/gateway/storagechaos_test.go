@@ -94,9 +94,30 @@ func TestGatewayFleetBitFlipChaos(t *testing.T) {
 	env := [][]string{nil, nil, {faultinject.EnvStorageFault + "=spool.read:flip:1"}}
 	dirs, _, addrs, g, gwURL, gwLog := startFleet(t, 3, env, 2)
 
-	corpus, err := flood.BuildCorpus([]string{"Music Player", "Aard Dictionary", "Messenger"}, 12, 1)
+	// The ring places keys by the backends' random ports, so the 12
+	// flooded bodies are picked from a larger pool by their home
+	// backend: at least 3 home on the flipped backend and at least 3 on
+	// healthy ones, whatever ports the fleet drew.
+	pool, err := flood.BuildCorpus([]string{"Music Player", "Aard Dictionary", "Messenger"}, 48, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var corpus [][]byte
+	onFlipped := 0
+	for _, b := range pool {
+		home := g.ring.Order(server.IdempotencyKey(b))[0]
+		switch {
+		case len(corpus) == 12:
+		case home == addrs[flipped] && onFlipped < 6:
+			corpus = append(corpus, b)
+			onFlipped++
+		case home != addrs[flipped] && len(corpus)-onFlipped < 9:
+			corpus = append(corpus, b)
+		}
+	}
+	if len(corpus) != 12 || onFlipped < 3 || len(corpus)-onFlipped < 3 {
+		t.Fatalf("48-body pool yielded %d bodies, %d homed on the flipped backend; want 12 with at least 3 on each side",
+			len(corpus), onFlipped)
 	}
 	keyToBody := make(map[string][]byte, len(corpus))
 	for _, b := range corpus {

@@ -706,30 +706,6 @@ func TraceJob(name, path string, opts core.Options) Job {
 	}
 }
 
-// BaselineTraceJob builds a job that skips the full pipeline entirely
-// and runs the linear pure-MT baseline — the brownout path: while the
-// daemon is above its memory watermark, non-heavy work still gets an
-// answer, just never an O(nodes²) one. reason is recorded as the
-// degradation cause.
-func BaselineTraceJob(name, path string, opts core.Options, reason error) Job {
-	run := func(ctx context.Context, _ budget.Limits) (*core.Result, error) {
-		tr, err := parseSpoolFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return core.AnalyzeBaseline(tr, opts, reason)
-	}
-	return Job{
-		Name: name,
-		Key:  path,
-		Path: path,
-		Run:  run,
-		Fallback: func(ctx context.Context, _ error) (*core.Result, error) {
-			return run(ctx, budget.Limits{})
-		},
-	}
-}
-
 // Runner executes one trace analysis out of process; the sentinel
 // Isolator satisfies it. The indirection keeps jobs ignorant of how the
 // sandbox works while still owning the supervision around it.
@@ -739,7 +715,7 @@ type Runner interface {
 
 // IsolatedTraceJob builds a job whose analysis runs in a sandboxed
 // worker subprocess via iso — the heavy path: an input whose estimated
-// closure footprint exceeds the soft cost ceiling never touches the
+// analysis footprint exceeds the soft cost ceiling never touches the
 // daemon's heap. A dead sandbox surfaces as a deterministic resource
 // error (see sentinel.ResourceError): no retries, no in-process
 // fallback — re-running a memory bomb on the shared heap is exactly

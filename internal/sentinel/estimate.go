@@ -2,6 +2,8 @@ package sentinel
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 
 	"droidracer/internal/trace"
 )
@@ -11,32 +13,27 @@ import (
 // allocation proportional to the input. It is returned in the body of a
 // 413 cost-exceeded rejection so the client learns why.
 type Estimate struct {
-	// Ops counts operation lines; Threads the distinct thread IDs seen;
-	// Posts the post/postf/postd lines (each is a cross-thread edge the
-	// closure must propagate).
+	// Ops counts operation lines; Threads the distinct thread IDs seen.
 	Ops     int `json:"ops"`
 	Threads int `json:"threads"`
-	Posts   int `json:"posts"`
-	// Nodes over-approximates the happens-before graph size after §6
-	// node merging: every non-access op is its own node, and a run of
-	// consecutive same-thread accesses collapses to one. The real merge
-	// is at least this aggressive (it also merges across our run
-	// breaks), so Nodes ≥ the graph the engine will build.
-	Nodes int `json:"nodes"`
-	// MemBytes predicts the analysis footprint, dominated by the two
-	// O(nodes²) reachability bitset matrices (st and mt: nodes rows of
-	// ceil(nodes/64) words each).
-	MemBytes int64 `json:"mem_bytes"`
-	// StreamBytes predicts the same trace's footprint under the
-	// streaming engine, which keeps no graph: per-op shadow-state
-	// entries plus per-thread clock contexts, linear in the trace. A
-	// trace whose closure no ceiling admits can still be cheap here —
-	// the hostile alternating-thread shape that maximizes graph nodes
-	// is exactly the shape the streaming engine handles in O(ops).
+	// Snapshots counts the lines at which the streaming engine copies a
+	// clock or seeds an accumulator that later joins read (see
+	// stream.applyOutgoing): posts, ends, enables, attachQ, forks,
+	// releases and threadexits. Each one stores up to Width components.
+	Snapshots int `json:"snapshots"`
+	// Width bounds the clock width: one context per thread, plus every
+	// task context FIFO slot reuse may fail to fold (a post whose poster
+	// differs from the previous post to the same looper, or whose
+	// poster's own contexts have split since; every front-of-queue and
+	// delayed post), plus every out-of-task op after a thread's loop,
+	// which the engine gives a fresh context.
+	Width int `json:"width"`
+	// StreamBytes predicts what the streaming analysis allocates,
+	// parse included: see streamBytes.
 	StreamBytes int64 `json:"stream_bytes"`
 }
 
-// CostLimits are the admission ceilings over Estimate.MemBytes.
+// CostLimits are the admission ceilings over Estimate.StreamBytes.
 type CostLimits struct {
 	// Soft flags submissions heavy: they run isolated in a worker
 	// subprocess instead of on the daemon's heap. 0 disables.
@@ -56,139 +53,147 @@ const (
 	ClassRejected = "rejected"
 )
 
-// Classify buckets the estimate under the graph engine's quadratic
-// cost model: rejected above Hard, heavy above Soft, normal otherwise.
+// Classify buckets the estimate: rejected above Hard, heavy above Soft,
+// normal otherwise.
 func (e Estimate) Classify(lim CostLimits) string {
-	return e.classify(lim, e.MemBytes)
-}
-
-// ClassifyEngine buckets the estimate under the cost model of the
-// engine that will actually run: the linear StreamBytes when stream is
-// true, the quadratic closure model otherwise. The ceilings are the
-// same — what changes per engine is the predicted footprint, so a
-// submission the graph engine would 413 can admit as normal work when
-// the request selects the streaming engine.
-func (e Estimate) ClassifyEngine(lim CostLimits, stream bool) string {
-	if stream {
-		return e.classify(lim, e.StreamBytes)
-	}
-	return e.classify(lim, e.MemBytes)
-}
-
-func (e Estimate) classify(lim CostLimits, cost int64) string {
+	class := ClassNormal
 	switch {
-	case lim.Hard > 0 && cost > lim.Hard:
-		estimateCounters[ClassRejected].Inc()
-		return ClassRejected
-	case lim.Soft > 0 && cost > lim.Soft:
-		estimateCounters[ClassHeavy].Inc()
-		return ClassHeavy
-	default:
-		estimateCounters[ClassNormal].Inc()
-		return ClassNormal
+	case lim.Hard > 0 && e.StreamBytes > lim.Hard:
+		class = ClassRejected
+	case lim.Soft > 0 && e.StreamBytes > lim.Soft:
+		class = ClassHeavy
 	}
+	estimateCounters[class].Inc()
+	return class
+}
+
+// scanThread is the estimator's per-thread state.
+type scanThread struct {
+	looped bool // saw loopOnQ: later out-of-task ops get fresh contexts
+	inTask bool // between a begin and its end
+	// splits counts the task contexts counted against this thread; a
+	// change between two of a poster's posts means they may come from
+	// unordered contexts, so FIFO need not order their tasks.
+	splits  int
+	lastSrc trace.ThreadID // poster of the previous post to this thread, -1 if none
+	lastGen int            // that poster's splits at the time
 }
 
 // EstimateBytes predicts the analysis cost of a textual trace body. It
-// first validates any declared-size directive (trace.DeclaredOps) — a
-// declared count the bytes cannot back is a memory bomb aimed at the
-// parser's preallocation, surfaced as the *trace.SizeError the server
-// maps to 422 — then scans line by line, tracking access runs per the
-// node-merging rule so Nodes over-approximates the real graph.
+// first validates any declared-size directive (trace.DeclaredOps): a
+// count the bytes cannot back is a bomb aimed at the parser's
+// preallocation, returned as the *trace.SizeError the server maps to
+// 422. Then it reads each line with trace.ScanOp, counting snapshot
+// lines and the clock-width bound the streaming engine's cost follows.
 func EstimateBytes(body []byte) (Estimate, error) {
 	if _, err := trace.DeclaredOps(body); err != nil {
 		return Estimate{}, err
 	}
 	var est Estimate
-	threads := make(map[int]struct{}, 8)
-	lastAccessThread := -1 // thread of an open access run, -1 = none
-	rest := body
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		line := rest
-		if nl >= 0 {
-			line = rest[:nl]
-			rest = rest[nl+1:]
-		} else {
-			rest = nil
+	threads := make(map[trace.ThreadID]*scanThread, 8)
+	thread := func(id trace.ThreadID) *scanThread {
+		if threads[id] == nil {
+			threads[id] = &scanThread{lastSrc: -1}
 		}
+		return threads[id]
+	}
+	for rest := body; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		est.Ops++
-		access := bytes.HasPrefix(line, []byte("read(")) || bytes.HasPrefix(line, []byte("write("))
-		if bytes.HasPrefix(line, []byte("post")) {
-			est.Posts++
+		op, ok := trace.ScanOp(line)
+		if !ok {
+			// The parser will refuse it; price it as the worst line anyway.
+			est.Snapshots++
+			est.Width++
+			continue
 		}
-		thr := lineThread(line)
-		if thr >= 0 {
-			threads[thr] = struct{}{}
-		}
-		if access {
-			if thr != lastAccessThread || thr < 0 {
-				est.Nodes++ // a new access run opens a new merged node
+		t := thread(op.Thread)
+		switch op.Kind {
+		case trace.OpRead, trace.OpWrite:
+			continue // accesses join no clock; the per-op term covers them
+		case trace.OpPost:
+			est.Snapshots++
+			dst := thread(op.Other)
+			if op.Front || op.Delayed || dst.lastSrc != op.Thread || dst.lastGen != t.splits {
+				dst.splits++
+				est.Width++
 			}
-			lastAccessThread = thr
-		} else {
-			est.Nodes++
-			lastAccessThread = -1
+			dst.lastSrc, dst.lastGen = op.Thread, t.splits
+		case trace.OpEnd:
+			est.Snapshots++
+			t.inTask = false
+			continue
+		case trace.OpBegin:
+			t.inTask = true
+			continue
+		case trace.OpLoopOnQ:
+			t.looped = true
+			continue
+		case trace.OpJoin:
+			thread(op.Other)
+		case trace.OpFork:
+			thread(op.Other)
+			est.Snapshots++
+		case trace.OpEnable, trace.OpAttachQ, trace.OpRelease, trace.OpThreadExit:
+			est.Snapshots++
+		}
+		if t.looped && !t.inTask {
+			est.Width++
 		}
 	}
 	est.Threads = len(threads)
-	est.MemBytes = closureBytes(est.Nodes, est.Ops)
-	est.StreamBytes = streamBytes(est.Ops, est.Threads)
+	est.Width += est.Threads
+	est.StreamBytes = streamBytes(est)
 	return est, nil
 }
 
-// closureBytes models the footprint of a full-fidelity analysis over n
-// graph nodes and total ops: two n×n reachability bitset matrices (the
-// st and mt relations, 8-byte words, 64 bits each) plus linear node and
-// op bookkeeping.
-func closureBytes(nodes, ops int) int64 {
-	n := int64(nodes)
-	words := (n + 63) / 64
-	const relations = 2 // st and mt
-	return relations*n*words*8 + n*128 + int64(ops)*96
-}
-
-// streamBytes models the streaming engine's footprint: one parsed op
-// plus at most one shadow-state entry per trace line (epoch, index,
-// per-location bookkeeping), and per-thread clock contexts whose width
-// is bounded by the live context count, not the trace length. The
-// model is linear by construction — the engine materializes no
-// relation — so it has no term that grows with nodes².
-func streamBytes(ops, threads int) int64 {
+// streamBytes models the streaming analysis's allocation, parse
+// included, fitted on 2 vCPU (DESIGN.md §16): per op (op, line string,
+// annotations, epoch, shadow entry), per thread (root context), a floor
+// for fixed tables, and the quadratic term — every snapshot copies or
+// grows a map-backed clock of up to Width components (both views, plus
+// the begin-time tentative views slot reuse folds away).
+func streamBytes(e Estimate) int64 {
 	const (
-		perOp     = 160      // parsed op + shadow entry + summary-clock share
-		perThread = 16 << 10 // root/task contexts and their clock maps
-		fixed     = 1 << 20  // engine bookkeeping floor
+		perOp       = 240
+		perThread   = 4 << 10
+		perSnapWide = 128
+		fixed       = 64 << 10
 	)
-	return int64(ops)*perOp + int64(threads)*perThread + fixed
+	return int64(e.Ops)*perOp + int64(e.Threads)*perThread +
+		int64(e.Snapshots)*int64(e.Width)*perSnapWide + fixed
 }
 
-// lineThread extracts the first thread ID of an op line — the digits
-// after "(t" — without allocating. Returns -1 when the line does not
-// carry one (malformed lines are the parser's problem, not the
-// estimator's).
-func lineThread(line []byte) int {
-	open := bytes.IndexByte(line, '(')
-	if open < 0 || open+2 >= len(line) || line[open+1] != 't' {
-		return -1
+// WideClockBody builds the bomb the width term exists for: t2 forks and
+// joins threads threads, widening its clock by one component each, then
+// posts posts tasks to the looper t1, every post and end copying that
+// clock — cost posts × threads from a body of posts + threads lines.
+func WideClockBody(threads, posts int) []byte {
+	var b bytes.Buffer
+	b.WriteString("threadinit(t1)\nattachQ(t1)\nloopOnQ(t1)\nfork(t1,t2)\nthreadinit(t2)\n")
+	for k := 3; k < threads+3; k++ {
+		fmt.Fprintf(&b, "fork(t2,t%d)\nthreadinit(t%d)\nthreadexit(t%d)\njoin(t2,t%d)\n", k, k, k, k)
 	}
-	n := 0
-	digits := 0
-	for _, c := range line[open+2:] {
-		if c < '0' || c > '9' {
-			break
-		}
-		n = n*10 + int(c-'0')
-		if digits++; digits > 9 {
-			return -1
-		}
+	for i := 0; i < posts; i++ {
+		fmt.Fprintf(&b, "post(t2,p%d,t1)\nbegin(t1,p%d)\nend(t1,p%d)\n", i, i, i)
 	}
-	if digits == 0 {
-		return -1
+	return b.Bytes()
+}
+
+// MeasureAlloc reports the bytes f allocates per run, averaged over
+// runs after a GC: the measure streamBytes is fitted against.
+func MeasureAlloc(runs int, f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
-	return n
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / int64(runs)
 }

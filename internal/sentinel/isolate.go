@@ -16,6 +16,7 @@ import (
 
 	"droidracer/internal/budget"
 	"droidracer/internal/core"
+	"droidracer/internal/hb"
 	"droidracer/internal/obs"
 	"droidracer/internal/race"
 	"droidracer/internal/trace"
@@ -68,17 +69,18 @@ func (e *ResourceError) Deterministic() bool { return true }
 // workerSpec is the contract between Isolator and WorkerMain, passed
 // through the EnvWorker environment variable as JSON. The result comes
 // back through the Out file, never stdout — a re-exec'd test binary
-// chatters on stdout.
+// chatters on stdout. The worker runs the streaming engine, the only
+// one the daemon serves.
 type workerSpec struct {
-	Trace           string `json:"trace"`
-	Out             string `json:"out"`
-	MemLimit        int64  `json:"mem_limit"`
-	Dedup           bool   `json:"dedup,omitempty"`
-	Validate        bool   `json:"validate,omitempty"`
-	DropCancelled   bool   `json:"drop_cancelled,omitempty"`
-	DegradeOnBudget bool   `json:"degrade_on_budget,omitempty"`
-	WallMS          int64  `json:"wall_ms,omitempty"`
-	Engine          string `json:"engine,omitempty"`
+	Trace           string    `json:"trace"`
+	Out             string    `json:"out"`
+	MemLimit        int64     `json:"mem_limit"`
+	HB              hb.Config `json:"hb"`
+	Dedup           bool      `json:"dedup,omitempty"`
+	Validate        bool      `json:"validate,omitempty"`
+	DropCancelled   bool      `json:"drop_cancelled,omitempty"`
+	DegradeOnBudget bool      `json:"degrade_on_budget,omitempty"`
+	WallMS          int64     `json:"wall_ms,omitempty"`
 }
 
 // workerResult is what a surviving worker writes to the Out file:
@@ -172,12 +174,12 @@ func (i *Isolator) Run(ctx context.Context, path string, opts core.Options) (*co
 		Trace:           path,
 		Out:             outPath,
 		MemLimit:        memLimit,
+		HB:              opts.HB,
 		Dedup:           opts.Dedup,
 		Validate:        opts.Validate,
 		DropCancelled:   opts.DropCancelled,
 		DegradeOnBudget: opts.DegradeOnBudget,
 		WallMS:          int64(opts.Budget.Wall / time.Millisecond),
-		Engine:          opts.Engine,
 	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {

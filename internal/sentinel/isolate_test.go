@@ -11,6 +11,8 @@ import (
 
 	"droidracer/internal/budget"
 	"droidracer/internal/core"
+	"droidracer/internal/jobs"
+	"droidracer/internal/paper"
 	"droidracer/internal/trace"
 )
 
@@ -81,6 +83,41 @@ func TestIsolatedRunMatchesInProcess(t *testing.T) {
 		if r.First != l.First || r.Second != l.Second || r.Loc != l.Loc || r.Category != l.Category {
 			t.Fatalf("race %d differs across the process boundary: %+v vs %+v", i, r, l)
 		}
+	}
+}
+
+// TestIsolatedRunKeepsHBConfig pins that the caller's happens-before
+// rules cross the process boundary. On Figure 4 with the onDestroy post
+// issued by a second binder thread, only the enable edges order the two
+// writes; without them the analysis reports the false positive the
+// environment model removes, and the isolated run must report it too.
+func TestIsolatedRunKeepsHBConfig(t *testing.T) {
+	tr := paper.Figure4().Clone()
+	tr.Ops()[paper.Idx(19)].Thread = 3
+	var sb strings.Builder
+	if err := trace.Format(&sb, tr); err != nil {
+		t.Fatal(err)
+	}
+	path := writeTrace(t, sb.String())
+	opts := core.DefaultOptions()
+	opts.HB.EnableEdges = false
+	isolated, err := testIsolator().Run(context.Background(), path, opts)
+	if err != nil {
+		t.Fatalf("isolated run: %v", err)
+	}
+	local, err := core.Analyze(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := core.Analyze(tr, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs.ResultDigest(local) == jobs.ResultDigest(full) {
+		t.Fatal("EnableEdges=false changes nothing here; the test cannot tell the configs apart")
+	}
+	if got, want := jobs.ResultDigest(isolated), jobs.ResultDigest(local); got != want {
+		t.Fatalf("isolated digest %s != in-process digest %s: the worker dropped the HB config", got, want)
 	}
 }
 

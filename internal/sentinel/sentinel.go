@@ -1,6 +1,8 @@
 // Package sentinel is the resource-governance layer of the analysis
-// service. The paper's graph-closure engine is O(nodes²) in bitset
-// memory, so one adversarial or merely huge trace can OOM-kill a whole
+// service. The streaming engine is linear in the trace only while its
+// vector clocks stay narrow, and the submitter controls their width:
+// a half-megabyte body can make every post copy a clock thousands of
+// components wide and allocate gigabytes, enough to OOM-kill a whole
 // daemon — destroying every in-flight job despite the WAL, quarantine,
 // and breaker machinery, because the breaker only learns from failures
 // it survives. This package makes a pathological input cost the fleet
@@ -8,8 +10,8 @@
 // mechanisms layered around the existing pipeline:
 //
 //   - Cost pre-estimation at admission (Estimate): a cheap line scan of
-//     the submitted body predicts the closure's bitset footprint from
-//     trace shape. Submissions above a hard ceiling are refused 413
+//     the submitted body predicts the streaming analysis's allocation
+//     from trace shape. Submissions above a hard ceiling are refused 413
 //     before they are ever spooled; above a soft ceiling they are
 //     flagged heavy and denied the shared in-process heap.
 //
@@ -20,11 +22,11 @@
 //     "resource:" reason feeds the existing quarantine taxonomy.
 //
 //   - Brownout (Sentinel): a goroutine samples the daemon's own heap
-//     against a watermark. Above it, non-heavy work degrades to the
-//     pure-MT baseline and heavy work is refused 503 with a Retry-After
-//     sourced from the observed recovery time, while /readyz reports
-//     "resource" so gateway probers route around the backend until it
-//     recovers — the same mechanics as storage-degraded.
+//     against a watermark. Above it, heavy work is refused 503 with a
+//     Retry-After sourced from the observed recovery time, while
+//     /readyz reports "resource" so gateway probers route around the
+//     backend until it recovers — the same mechanics as
+//     storage-degraded.
 //
 // Everything is observable (droidracer_sentinel_* series, cost
 // estimates vs actuals in events and spans) and deterministic in tests
@@ -32,7 +34,6 @@
 package sentinel
 
 import (
-	"errors"
 	"log/slog"
 	"runtime"
 	"sync"
@@ -40,12 +41,6 @@ import (
 
 	"droidracer/internal/obs"
 )
-
-// ErrBrownout is the degradation reason recorded on results produced
-// while the daemon was above its memory watermark: non-heavy work is
-// not refused during brownout, it runs the cheap pure-MT baseline and
-// says so.
-var ErrBrownout = errors.New("sentinel: memory brownout, degraded to baseline")
 
 // Config configures the brownout sentinel.
 type Config struct {

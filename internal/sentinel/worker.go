@@ -14,7 +14,6 @@ import (
 	"droidracer/internal/budget"
 	"droidracer/internal/core"
 	"droidracer/internal/faultinject"
-	"droidracer/internal/hb"
 	"droidracer/internal/storage"
 	"droidracer/internal/trace"
 )
@@ -91,8 +90,7 @@ func WorkerMain() int {
 	}
 
 	opts := core.Options{
-		HB:              hb.DefaultConfig(),
-		Engine:          spec.Engine,
+		HB:              spec.HB,
 		Dedup:           spec.Dedup,
 		Validate:        spec.Validate,
 		DropCancelled:   spec.DropCancelled,

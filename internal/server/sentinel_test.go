@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"droidracer/internal/core"
 	"droidracer/internal/faultinject"
 	"droidracer/internal/jobs"
 	"droidracer/internal/journal"
@@ -41,26 +40,10 @@ func testIsolator(extraEnv ...string) *sentinel.Isolator {
 	}
 }
 
-// graphEngine runs a harness on the graph engine, whose closure the
-// heavyBody bombs target and whose quadratic cost model admission uses.
-var graphEngine = core.Options{Engine: core.EngineGraph}
-
-// heavyBody builds a valid trace whose alternating-thread accesses
-// defeat node merging, so the admission estimate is large while the body
-// stays small — the memory-bomb shape.
-func heavyBody(writes int) []byte {
-	var sb strings.Builder
-	sb.WriteString("threadinit(t1)\nfork(t1,t2)\nthreadinit(t2)\n")
-	for i := 0; i < writes; i++ {
-		fmt.Fprintf(&sb, "write(t%d,x)\n", 1+i%2)
-	}
-	return []byte(sb.String())
-}
-
 func TestSubmitCostExceeded(t *testing.T) {
 	h := newHarness(t, jobs.Config{Workers: 1},
-		Config{Analyze: graphEngine, Cost: sentinel.CostLimits{Hard: 1 << 20}})
-	resp, httpResp := h.post(t, heavyBody(4000), nil)
+		Config{Cost: sentinel.CostLimits{Hard: 1 << 20}})
+	resp, httpResp := h.post(t, sentinel.WideClockBody(200, 800), nil)
 	if httpResp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("heavy submit = %d, want 413", httpResp.StatusCode)
 	}
@@ -68,7 +51,7 @@ func TestSubmitCostExceeded(t *testing.T) {
 		t.Fatalf("response = %+v", resp)
 	}
 	// The 413 carries the estimate so the client learns why.
-	if resp.Estimate == nil || resp.Estimate.MemBytes <= 1<<20 || resp.Estimate.Nodes < 4000 {
+	if resp.Estimate == nil || resp.Estimate.StreamBytes <= 1<<20 || resp.Estimate.Width < 200 {
 		t.Fatalf("413 without a meaningful estimate: %+v", resp.Estimate)
 	}
 	// Nothing was spooled for a refused submission.
@@ -96,9 +79,8 @@ func TestBrownoutDegradesAndRefuses(t *testing.T) {
 	snt := sentinel.New(sentinel.Config{Watermark: 1000, MemFn: func() int64 { return mem }})
 	// The soft ceiling is low and the heavy bodies small so the isolated
 	// runs stay fast even race-instrumented: TSan multiplies both the
-	// closure time and the worker's address-space appetite.
+	// analysis time and the worker's address-space appetite.
 	h := newHarness(t, jobs.Config{Workers: 1}, Config{
-		Analyze:  graphEngine,
 		Sentinel: snt,
 		Cost:     sentinel.CostLimits{Soft: 256 << 10},
 		Isolator: testIsolator(),
@@ -119,7 +101,7 @@ func TestBrownoutDegradesAndRefuses(t *testing.T) {
 	snt.Sample()
 
 	// Heavy work is refused 503 resource-degraded with an honest hint.
-	resp, httpResp := h.post(t, heavyBody(1200), nil)
+	resp, httpResp := h.post(t, sentinel.WideClockBody(20, 80), nil)
 	if httpResp.StatusCode != http.StatusServiceUnavailable || resp.Reason != RejectResourceDegraded {
 		t.Fatalf("heavy during brownout = %d %+v", httpResp.StatusCode, resp)
 	}
@@ -148,14 +130,14 @@ func TestBrownoutDegradesAndRefuses(t *testing.T) {
 		t.Fatalf("/healthz browned out = %d", r.StatusCode)
 	}
 
-	// Non-heavy work is still accepted but runs the pure-MT baseline.
+	// Non-heavy work is still accepted and runs the full analysis.
 	resp, httpResp = h.post(t, figure4Body(t), nil)
 	if httpResp.StatusCode != http.StatusAccepted {
 		t.Fatalf("normal during brownout = %d %+v", httpResp.StatusCode, resp)
 	}
 	done := h.waitStatus(t, resp.Job, StatusDone)
-	if done.Mode != "degraded" {
-		t.Fatalf("brownout job mode = %q, want degraded", done.Mode)
+	if done.Mode != "full" {
+		t.Fatalf("brownout job mode = %q, want full", done.Mode)
 	}
 
 	// Recovery restores full fidelity and readiness.
@@ -169,7 +151,7 @@ func TestBrownoutDegradesAndRefuses(t *testing.T) {
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("/readyz recovered = %d", r.StatusCode)
 	}
-	resp, httpResp = h.post(t, heavyBody(1200), nil)
+	resp, httpResp = h.post(t, sentinel.WideClockBody(20, 80), nil)
 	if httpResp.StatusCode != http.StatusAccepted {
 		t.Fatalf("heavy after recovery = %d %+v", httpResp.StatusCode, resp)
 	}
@@ -188,12 +170,11 @@ func TestWorkerOOMKilledQuarantinedAndReplayed(t *testing.T) {
 	h := newHarness(t,
 		jobs.Config{Workers: 1, Quarantine: &jobs.Quarantine{Dir: qdir}},
 		Config{
-			Analyze: graphEngine,
-			Cost:    sentinel.CostLimits{Soft: 1 << 20},
+			Cost: sentinel.CostLimits{Soft: 1 << 20},
 			Isolator: testIsolator(
 				faultinject.EnvKillpoint + "=sentinel.worker"),
 		})
-	body := heavyBody(4000)
+	body := sentinel.WideClockBody(200, 800)
 
 	resp, httpResp := h.post(t, body, nil)
 	if httpResp.StatusCode != http.StatusAccepted {

@@ -27,6 +27,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -123,8 +124,8 @@ type Config struct {
 	Spool string
 	// Analyze is the base analysis configuration for accepted jobs; a
 	// request's X-Analysis-Deadline can only tighten its wall budget.
-	// Its Engine, normalized by New (empty means stream), also picks
-	// the admission cost model.
+	// Its Engine must be empty or core.EngineStream: the daemon serves
+	// the streaming engine only, the one admission prices.
 	Analyze core.Options
 	// Workers is the pool's worker count, used to derive Retry-After
 	// from queue depth (default 1).
@@ -182,9 +183,9 @@ type Config struct {
 	// Sentinel, when set, reports the daemon's memory-brownout state:
 	// while browned out, heavy submissions are refused 503
 	// resource-degraded (Retry-After sourced from the sentinel's
-	// recovery signal), non-heavy ones degrade to the pure-MT baseline,
-	// and /readyz answers 503 "resource" so gateway probers route
-	// around this backend until it recovers. Nil disables.
+	// recovery signal) and /readyz answers 503 "resource" so gateway
+	// probers route around this backend until it recovers; non-heavy
+	// work still runs the full analysis. Nil disables.
 	Sentinel *sentinel.Sentinel
 	// Cost are the admission cost ceilings over the per-submission
 	// estimate (sentinel.EstimateBytes): above Hard, refuse 413
@@ -230,8 +231,13 @@ type Server struct {
 
 // New builds a server over cfg, seeding the idempotency index from the
 // recovered journal records. Wire JobFinished as the pool's OnFinish
-// hook so completions (and quarantines) update the index.
+// hook so completions (and quarantines) update the index. It panics
+// when cfg.Analyze selects an engine other than stream: only the
+// streaming engine is served and priced.
 func New(cfg Config) *Server {
+	if eng, err := core.NormalizeEngine(cfg.Analyze.Engine); err != nil || eng != core.EngineStream {
+		panic(fmt.Sprintf("server: cannot serve analysis engine %q; racedetd serves %q only", cfg.Analyze.Engine, core.EngineStream))
+	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -258,11 +264,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Events == nil {
 		cfg.Events = obs.Nop()
-	}
-	// Admission prices the engine that will run, so resolve the default
-	// here once; an unknown name is left for the analysis to refuse.
-	if eng, err := core.NormalizeEngine(cfg.Analyze.Engine); err == nil {
-		cfg.Analyze.Engine = eng
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -635,7 +636,7 @@ func (s *Server) admitSubmit(w http.ResponseWriter, r *http.Request, rec *obs.Tr
 	// validates any declared-size directive — a count the bytes cannot
 	// back is refused here, before the parser would have trusted it into
 	// an allocation.
-	est, heavy, ok := s.admitCost(w, sp, body, opts.Engine)
+	est, heavy, ok := s.admitCost(w, sp, body)
 	if !ok {
 		return false
 	}
@@ -699,14 +700,10 @@ func (s *Server) governed() bool {
 }
 
 // admitCost is the resource-governance stage of admission: estimate the
-// analysis footprint from the body's shape under the engine that will
-// run it, refuse what no ceiling allows, and — during brownout — refuse
-// heavy work with an honest recovery hint. Reports (estimate, heavy,
-// admitted). The engine matters: a trace shaped to maximize the graph
-// closure (the alternating-thread bomb) costs O(nodes²) there but only
-// O(ops) under the streaming engine, so the same body can be a 413 for
-// one engine and normal work for the other.
-func (s *Server) admitCost(w http.ResponseWriter, sp *obs.TSpan, body []byte, engine string) (sentinel.Estimate, bool, bool) {
+// analysis footprint from the body's shape, refuse what no ceiling
+// allows, and — during brownout — refuse heavy work with an honest
+// recovery hint. Reports (estimate, heavy, admitted).
+func (s *Server) admitCost(w http.ResponseWriter, sp *obs.TSpan, body []byte) (sentinel.Estimate, bool, bool) {
 	if !s.governed() {
 		return sentinel.Estimate{}, false, true
 	}
@@ -717,22 +714,16 @@ func (s *Server) admitCost(w http.ResponseWriter, sp *obs.TSpan, body []byte, en
 		s.reject(w, http.StatusUnprocessableEntity, RejectMalformedTrace, 0)
 		return est, false, false
 	}
-	stream := engine == core.EngineStream
-	sp.SetAttr("est_bytes", strconv.FormatInt(est.MemBytes, 10))
-	sp.SetAttr("est_nodes", strconv.Itoa(est.Nodes))
-	if stream {
-		sp.SetAttr("est_stream_bytes", strconv.FormatInt(est.StreamBytes, 10))
-	}
-	class := est.ClassifyEngine(s.cfg.Cost, stream)
+	sp.SetAttr("est_bytes", strconv.FormatInt(est.StreamBytes, 10))
+	class := est.Classify(s.cfg.Cost)
 	if class == sentinel.ClassRejected {
 		if c, ok := rejectsTotal[RejectCostExceeded]; ok {
 			c.Inc()
 		}
-		e := est
 		s.cfg.Events.Info("request.reject", "reason", RejectCostExceeded, "code",
-			http.StatusRequestEntityTooLarge, "est_bytes", est.MemBytes, "est_nodes", est.Nodes)
+			http.StatusRequestEntityTooLarge, "est_bytes", est.StreamBytes)
 		respond(w, http.StatusRequestEntityTooLarge,
-			&SubmitResponse{Status: StatusRejected, Reason: RejectCostExceeded, Estimate: &e})
+			&SubmitResponse{Status: StatusRejected, Reason: RejectCostExceeded, Estimate: &est})
 		return est, false, false
 	}
 	heavy := class == sentinel.ClassHeavy
@@ -772,24 +763,17 @@ func clampRetry(d, max time.Duration) time.Duration {
 	return d
 }
 
-// buildJob constructs the pool job for an admitted submission under the
-// current resource regime: heavy work runs in the isolation sandbox,
-// non-heavy work during brownout degrades to the pure-MT baseline, and
-// everything else takes the full in-process pipeline. The wrapper feeds
-// the service-time EWMA and — when governance is on — emits a job.cost
-// event pairing the admission estimate with the observed allocation.
+// buildJob constructs the pool job for an admitted submission: heavy
+// work runs in the isolation sandbox, everything else takes the full
+// in-process pipeline. The wrapper feeds the service-time EWMA and —
+// when governance is on — emits a job.cost event pairing the admission
+// estimate with the observed allocation.
 func (s *Server) buildJob(name, path string, opts core.Options, est sentinel.Estimate, heavy bool) jobs.Job {
-	var job jobs.Job
+	job := jobs.TraceJob(name, path, opts)
 	mode := "full"
-	switch {
-	case heavy && s.cfg.Isolator != nil:
+	if heavy && s.cfg.Isolator != nil {
 		job = jobs.IsolatedTraceJob(name, path, opts, s.cfg.Isolator)
 		mode = "isolated"
-	case !heavy && s.cfg.Sentinel.Brownout():
-		job = jobs.BaselineTraceJob(name, path, opts, sentinel.ErrBrownout)
-		mode = "baseline"
-	default:
-		job = jobs.TraceJob(name, path, opts)
 	}
 	run := job.Run
 	governed := s.governed()
@@ -809,7 +793,7 @@ func (s *Server) buildJob(name, path string, opts core.Options, est sentinel.Est
 			// (isolated jobs report their child's peak separately in
 			// sentinel.isolated events).
 			s.cfg.Events.Info("job.cost", "job", strings.TrimSuffix(name, ".trace"),
-				"path", mode, "est_bytes", est.MemBytes, "est_nodes", est.Nodes,
+				"path", mode, "est_bytes", est.StreamBytes,
 				"actual_alloc_bytes", int64(after.TotalAlloc-before.TotalAlloc),
 				"elapsed", time.Since(t0).String())
 		}
@@ -833,7 +817,7 @@ func (s *Server) SpoolJob(name, path string) jobs.Job {
 		if body, err := os.ReadFile(path); err == nil {
 			if e, eerr := sentinel.EstimateBytes(body); eerr == nil {
 				est = e
-				heavy = est.ClassifyEngine(s.cfg.Cost, opts.Engine == core.EngineStream) != sentinel.ClassNormal
+				heavy = est.Classify(s.cfg.Cost) != sentinel.ClassNormal
 			}
 		}
 	}
@@ -870,7 +854,7 @@ func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	if len(strings.TrimSpace(string(body))) == 0 {
+	if len(bytes.TrimSpace(body)) == 0 {
 		return nil, fmt.Errorf("empty body")
 	}
 	return body, nil

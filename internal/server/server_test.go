@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"droidracer/internal/journal"
 	"droidracer/internal/paper"
 	"droidracer/internal/report"
+	"droidracer/internal/sentinel"
 	"droidracer/internal/trace"
 )
 
@@ -63,9 +65,7 @@ func newHarness(t *testing.T, poolCfg jobs.Config, srvCfg Config) *harness {
 	h.pool = jobs.NewPool(poolCfg)
 	srvCfg.Pool = h.pool
 	srvCfg.Spool = h.spool
-	engine := srvCfg.Analyze.Engine
 	srvCfg.Analyze = core.DefaultOptions()
-	srvCfg.Analyze.Engine = engine
 	srv = New(srvCfg)
 	h.srv = srv
 	h.ts = httptest.NewServer(srv.Handler())
@@ -516,5 +516,44 @@ func TestBucketsRefill(t *testing.T) {
 	now = now.Add(1100 * time.Millisecond)
 	if _, ok := b.take("c"); !ok {
 		t.Fatal("refilled bucket refused")
+	}
+}
+
+// TestNewServesStreamOnly pins that a daemon cannot be configured to
+// serve an engine admission does not price.
+func TestNewServesStreamOnly(t *testing.T) {
+	for _, eng := range []string{"", core.EngineStream} {
+		New(Config{Analyze: core.Options{Engine: eng}})
+	}
+	for _, eng := range []string{"graph", "quantum"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with engine %q did not panic", eng)
+				}
+			}()
+			New(Config{Analyze: core.Options{Engine: eng}})
+		}()
+	}
+}
+
+// TestSubmitBlankBodyNotCopied pins that the empty-body check reads the
+// submitted bytes in place: a blank body costs admission its read and
+// nothing close to a second copy.
+func TestSubmitBlankBodyNotCopied(t *testing.T) {
+	h := newHarness(t, jobs.Config{Workers: 1}, Config{Rate: 1000, Burst: 1000})
+	blank := strings.Repeat(" \n", 410<<10)
+	submitBlank := func() {
+		rec := httptest.NewRecorder()
+		h.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(blank)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("blank submit = %d, want 400", rec.Code)
+		}
+	}
+	submitBlank() // warm up lazily built state
+	read := sentinel.MeasureAlloc(5, func() { io.ReadAll(strings.NewReader(blank)) })
+	submit := sentinel.MeasureAlloc(5, submitBlank)
+	if extra := submit - read; extra > int64(len(blank))/2 {
+		t.Fatalf("blank %d-byte submit allocated %d bytes beyond reading it", len(blank), extra)
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"droidracer/internal/obs"
 )
@@ -201,104 +203,151 @@ func clip(s string) string {
 }
 
 // opcodes is the one table of the textual format's opcode names: the
-// Kind each parses to and its argument count. post, postf and postd all
-// parse to OpPost; the name picks a front or delayed post.
+// Kind each parses to, its argument count, and which later argument, if
+// any, is a second thread (fork/join's target, a post's destination).
+// post, postf and postd all parse to OpPost; the name picks a front or
+// delayed post.
 var opcodes = map[string]struct {
-	kind  Kind
-	arity int
+	kind         Kind
+	arity, other int
 }{
-	"threadinit": {OpThreadInit, 1}, "threadexit": {OpThreadExit, 1},
-	"attachQ": {OpAttachQ, 1}, "loopOnQ": {OpLoopOnQ, 1},
-	"fork": {OpFork, 2}, "join": {OpJoin, 2},
-	"post": {OpPost, 3}, "postf": {OpPost, 3}, "postd": {OpPost, 4},
-	"begin": {OpBegin, 2}, "end": {OpEnd, 2}, "enable": {OpEnable, 2}, "cancel": {OpCancel, 2},
-	"acquire": {OpAcquire, 2}, "release": {OpRelease, 2},
-	"read": {OpRead, 2}, "write": {OpWrite, 2},
+	"threadinit": {OpThreadInit, 1, 0}, "threadexit": {OpThreadExit, 1, 0},
+	"attachQ": {OpAttachQ, 1, 0}, "loopOnQ": {OpLoopOnQ, 1, 0},
+	"fork": {OpFork, 2, 1}, "join": {OpJoin, 2, 1},
+	"post": {OpPost, 3, 2}, "postf": {OpPost, 3, 2}, "postd": {OpPost, 4, 2},
+	"begin": {OpBegin, 2, 0}, "end": {OpEnd, 2, 0}, "enable": {OpEnable, 2, 0}, "cancel": {OpCancel, 2, 0},
+	"acquire": {OpAcquire, 2, 0}, "release": {OpRelease, 2, 0},
+	"read": {OpRead, 2, 0}, "write": {OpWrite, 2, 0},
 }
 
 // maxArity is the largest argument count in opcodes (postd's).
 const maxArity = 4
 
-// ParseOp parses a single operation in its textual form.
-func ParseOp(s string) (Op, error) {
+// opLine is one op line split by splitOp: its opcode and arguments.
+type opLine struct {
+	name         string
+	kind         Kind
+	arity, other int
+	n            int // arguments present
+	args         [maxArity]string
+}
+
+// splitOp's verdicts: lineOK, or the first check the line failed.
+const (
+	lineOK = iota
+	lineMalformed
+	lineUnknown
+	lineArity
+)
+
+// splitOp splits an op line into l without allocating. ParseOp and
+// ScanOp both start here, so the parser and the admission estimator
+// read every line the same way.
+func splitOp(s string, l *opLine) (fault int) {
 	open := strings.IndexByte(s, '(')
 	if open < 0 || !strings.HasSuffix(s, ")") {
-		return Op{}, fmt.Errorf("malformed operation %q", clip(s))
+		return lineMalformed
 	}
-	name := s[:open]
-	oc, known := opcodes[name]
+	l.name = s[:open]
+	oc, known := opcodes[l.name]
 	if !known {
-		return Op{}, fmt.Errorf("unknown opcode %q", clip(name))
+		return lineUnknown
 	}
+	l.kind, l.arity, l.other = oc.kind, oc.arity, oc.other
 	list := s[open+1 : len(s)-1]
-	if n := strings.Count(list, ",") + 1; n != oc.arity {
-		return Op{}, fmt.Errorf("%s: want %d arguments, got %d in %q", name, oc.arity, n, clip(s))
+	if l.n = strings.Count(list, ",") + 1; l.n != l.arity {
+		return lineArity
 	}
-	var args [maxArity]string
-	for i := 0; i < oc.arity-1; i++ {
+	for i := 0; i < l.arity-1; i++ {
 		comma := strings.IndexByte(list, ',')
-		args[i], list = strings.TrimSpace(list[:comma]), list[comma+1:]
+		l.args[i], list = strings.TrimSpace(list[:comma]), list[comma+1:]
 	}
-	args[oc.arity-1] = strings.TrimSpace(list)
+	l.args[l.arity-1] = strings.TrimSpace(list)
+	return lineOK
+}
+
+// head reads the line's kind, threads and post flavour — everything but
+// names and the delay — without allocating; ok is false on a bad
+// thread ID.
+func (l *opLine) head() (op Op, ok bool) {
+	op = Op{Kind: l.kind, Front: l.name == "postf", Delayed: l.name == "postd"}
+	op.Thread, ok = threadID(l.args[0])
+	if ok && l.other > 0 {
+		op.Other, ok = threadID(l.args[l.other])
+	}
+	return op, ok
+}
+
+// ParseOp parses a single operation in its textual form.
+func ParseOp(s string) (Op, error) {
+	var l opLine
+	switch splitOp(s, &l) {
+	case lineMalformed:
+		return Op{}, fmt.Errorf("malformed operation %q", clip(s))
+	case lineUnknown:
+		return Op{}, fmt.Errorf("unknown opcode %q", clip(l.name))
+	case lineArity:
+		return Op{}, fmt.Errorf("%s: want %d arguments, got %d in %q", l.name, l.arity, l.n, clip(s))
+	}
+	name, args := l.name, &l.args
+	op, ok := l.head()
+	if !ok {
+		return Op{}, fmt.Errorf("%s: bad thread id in %q", name, clip(s))
+	}
+	what := ""
+	switch op.Kind {
+	case OpPost, OpBegin, OpEnd, OpEnable, OpCancel:
+		op.Task, what = TaskID(args[1]), "task"
+	case OpAcquire, OpRelease:
+		op.Lock, what = LockID(args[1]), "lock"
+	case OpRead, OpWrite:
+		op.Loc, what = Loc(args[1]), "location"
+	}
 	// Names (tasks, locks, locations) must be non-empty, or formatting
 	// the operation would not round-trip.
-	nonEmpty := func(what string) error {
-		if args[1] == "" {
-			return fmt.Errorf("%s: empty %s name in %q", name, what, clip(s))
-		}
-		return nil
+	if what != "" && args[1] == "" {
+		return Op{}, fmt.Errorf("%s: empty %s name in %q", name, what, clip(s))
 	}
-	thr, err := parseThread(args[0])
-	if err != nil {
-		return Op{}, fmt.Errorf("%s: %w", name, err)
-	}
-	op := Op{Kind: oc.kind, Thread: thr}
-	switch oc.kind {
-	case OpFork, OpJoin:
-		if op.Other, err = parseThread(args[1]); err != nil {
-			return Op{}, fmt.Errorf("%s: %w", name, err)
+	if op.Delayed {
+		var err error
+		if op.Delay, err = strconv.ParseInt(args[3], 10, 64); err != nil || op.Delay < 0 {
+			return Op{}, fmt.Errorf("postd: bad delay %q", args[3])
 		}
-	case OpPost:
-		if err := nonEmpty("task"); err != nil {
-			return Op{}, err
-		}
-		op.Task = TaskID(args[1])
-		if op.Other, err = parseThread(args[2]); err != nil {
-			return Op{}, fmt.Errorf("%s: %w", name, err)
-		}
-		op.Front = name == "postf"
-		if name == "postd" {
-			op.Delayed = true
-			if op.Delay, err = strconv.ParseInt(args[3], 10, 64); err != nil || op.Delay < 0 {
-				return Op{}, fmt.Errorf("postd: bad delay %q", args[3])
-			}
-		}
-	case OpBegin, OpEnd, OpEnable, OpCancel:
-		if err := nonEmpty("task"); err != nil {
-			return Op{}, err
-		}
-		op.Task = TaskID(args[1])
-	case OpAcquire, OpRelease:
-		if err := nonEmpty("lock"); err != nil {
-			return Op{}, err
-		}
-		op.Lock = LockID(args[1])
-	case OpRead, OpWrite:
-		if err := nonEmpty("location"); err != nil {
-			return Op{}, err
-		}
-		op.Loc = Loc(args[1])
 	}
 	return op, nil
 }
 
-func parseThread(s string) (ThreadID, error) {
+// ScanOp reads one op line's Kind, Thread, Other, Front and Delayed as
+// ParseOp would, without allocating, leaving names and the delay unset;
+// ok is false when ParseOp would reject the opcode, argument count or a
+// thread. Admission prices bodies with it, so it and the parser never
+// disagree about which threads a line names.
+func ScanOp(line []byte) (op Op, ok bool) {
+	// A read-only view: nothing ScanOp returns refers to the line.
+	var l opLine
+	if splitOp(unsafe.String(unsafe.SliceData(line), len(line)), &l) != lineOK {
+		return Op{}, false
+	}
+	return l.head()
+}
+
+// threadID reads a thread argument — "t", then a non-negative number as
+// strconv.ParseInt(_, 10, 32) accepts it: an optional sign and decimal
+// digits — without allocating on any input.
+func threadID(s string) (ThreadID, bool) {
 	if len(s) < 2 || s[0] != 't' {
-		return 0, fmt.Errorf("bad thread id %q", clip(s))
+		return 0, false
 	}
-	n, err := strconv.ParseInt(s[1:], 10, 32)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad thread id %q", clip(s))
+	num, neg := s[1:], s[1] == '-'
+	if neg || s[1] == '+' {
+		num = num[1:]
 	}
-	return ThreadID(n), nil
+	var n int64
+	for i := 0; i < len(num); i++ {
+		if num[i] < '0' || num[i] > '9' || n > math.MaxInt32 {
+			return 0, false
+		}
+		n = n*10 + int64(num[i]-'0')
+	}
+	return ThreadID(n), num != "" && n <= math.MaxInt32 && (!neg || n == 0)
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -156,5 +157,60 @@ func TestQuickOpRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestScanOpMatchesParseOp(t *testing.T) {
+	lines := []string{
+		"fork(t1,t2)",
+		"fork( t2,t3)",
+		"join(t2 , t+3)",
+		"post(t2,p1, t1)",
+		"post( t0000000002 ,p1,t1)",
+		"postf(t1,p,t-0)",
+		"postd(t1,p,t2,5)",
+		"threadexit(\tt7 )",
+		"read(t1,x)",
+	}
+	for _, s := range lines {
+		op, err := ParseOp(s)
+		if err != nil {
+			t.Fatalf("ParseOp(%q): %v", s, err)
+		}
+		got, ok := ScanOp([]byte(s))
+		want := Op{Kind: op.Kind, Thread: op.Thread, Other: op.Other, Front: op.Front, Delayed: op.Delayed}
+		if !ok || got != want {
+			t.Errorf("ScanOp(%q) = %+v, %v; want %+v", s, got, ok, want)
+		}
+	}
+	for _, s := range []string{"", "fork(t1)", "bogus(t1)", "join(t1,q2)", "read(t-1,x)", "post(t1,p,t2147483648)"} {
+		if _, ok := ScanOp([]byte(s)); ok {
+			t.Errorf("ScanOp(%q) accepted a line ParseOp rejects", s)
+		}
+	}
+	line := []byte("post( t2 ,p1, t1)")
+	if n := testing.AllocsPerRun(100, func() { ScanOp(line) }); n != 0 {
+		t.Errorf("ScanOp allocates %v times per line", n)
+	}
+	bad := []byte("join(t1,x99)")
+	if n := testing.AllocsPerRun(100, func() { ScanOp(bad) }); n != 0 {
+		t.Errorf("ScanOp allocates %v times on a bad thread", n)
+	}
+}
+
+// TestThreadIDMatchesParseInt pins threadID to the definition it
+// replaces: "t" then a non-negative strconv.ParseInt(_, 10, 32) value.
+func TestThreadIDMatchesParseInt(t *testing.T) {
+	for _, s := range []string{
+		"t0", "t7", "t+7", "t-0", "t-7", "t007", "t", "t+", "t-", "x7", "T7",
+		"t2147483647", "t2147483648", "t-2147483648", "t1_000", "t 7", "t7 ", "t0x7",
+		"t99999999999999999999", "t+0000000000002147483647",
+	} {
+		n, err := strconv.ParseInt(strings.TrimPrefix(s, "t"), 10, 32)
+		wantOK := strings.HasPrefix(s, "t") && len(s) >= 2 && err == nil && n >= 0
+		got, ok := threadID(s)
+		if ok != wantOK || (ok && int64(got) != n) {
+			t.Errorf("threadID(%q) = %d, %v; want %d, %v", s, got, ok, n, wantOK)
+		}
 	}
 }

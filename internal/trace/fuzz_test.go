@@ -82,3 +82,26 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzScanOp asserts the admission scanner reads every line the parser
+// accepts exactly as the parser does: same kind, threads and post
+// flavour.
+func FuzzScanOp(f *testing.F) {
+	for _, s := range fuzzSeedOps {
+		f.Add(s)
+	}
+	f.Add("fork( t2,t3)")
+	f.Add("post(t+2, p1 ,t0000000001)")
+	f.Add("join(t2,t-0)")
+	f.Fuzz(func(t *testing.T, s string) {
+		op, err := ParseOp(s)
+		if err != nil {
+			return
+		}
+		got, ok := ScanOp([]byte(s))
+		want := Op{Kind: op.Kind, Thread: op.Thread, Other: op.Other, Front: op.Front, Delayed: op.Delayed}
+		if !ok || got != want {
+			t.Fatalf("ScanOp(%q) = %+v, %v; ParseOp read %+v", s, got, ok, want)
+		}
+	})
+}

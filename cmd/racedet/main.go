@@ -6,7 +6,7 @@
 //
 //	racedet [-engine stream|graph] [-all] [-stats] [-naive] [-no-enable]
 //	        [-no-fifo] [-explain] [-dot FILE] [-minimize] [-deadline 5s]
-//	        [-max-nodes N] [-no-degrade] [trace.txt]
+//	        [-max-nodes N] [trace.txt]
 //	racedet -campaign "Paper Music Player" -state DIR [-k N] [-seed N]
 //	racedet -resume DIR
 //	racedet -submit URL [-deadline 30s] [-client-id ID] [-trace-out FILE] [trace.txt]
@@ -21,10 +21,12 @@
 // -minimize and -max-nodes select the graph engine, and combining one
 // with an explicit -engine=stream is a usage error. -stats works under
 // either engine and prints the graph size only when there is a graph.
-// Under -deadline/-max-nodes the analysis is budgeted: when the budget runs
-// out it degrades to the pure multithreaded baseline detector (or, with
-// -no-degrade, exits with the partial results printed and a structured
-// budget error).
+// Under -deadline the analysis is budgeted: when the deadline passes it
+// exits 1 with the partial (sound) races printed and the budget error
+// on stderr. -max-nodes caps the happens-before graph: a larger graph
+// is abandoned and the trace replayed on the streaming engine, which
+// prints the same races without the graph (the result is marked
+// degraded on stderr).
 //
 // Submit mode (-submit URL) posts the trace to a racedetd ingestion
 // endpoint instead of analyzing it locally: retryable refusals (429,
@@ -95,8 +97,7 @@ func main() {
 	dotFile := flag.String("dot", "", "write the happens-before graph (transitive reduction) as Graphviz DOT to this file")
 	minimizeFlag := flag.Bool("minimize", false, "print a minimized witness trace for the first reported race")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the analysis (0 = unlimited)")
-	maxNodes := flag.Int("max-nodes", 0, "cap on happens-before graph nodes (0 = unlimited)")
-	noDegrade := flag.Bool("no-degrade", false, "on budget exhaustion, fail with partial results instead of degrading to the pure-MT baseline")
+	maxNodes := flag.Int("max-nodes", 0, "cap on happens-before graph nodes; a larger graph is abandoned and the stream engine reports the races (0 = unlimited)")
 	phaseTimings := flag.Bool("phase-timings", false, "append a per-phase wall-clock timing table to the report")
 	submitURL := flag.String("submit", "", "submit the trace to this racedetd ingestion URL instead of analyzing locally")
 	clientID := flag.String("client-id", "", "rate-limit principal sent as X-Client-ID with -submit/-flood")
@@ -181,7 +182,6 @@ func main() {
 	opts.HB.EnableEdges = !*noEnable
 	opts.HB.FIFO = !*noFIFO
 	opts.Budget = droidracer.Budget{Wall: *deadline, MaxGraphNodes: *maxNodes}
-	opts.DegradeOnBudget = !*noDegrade
 
 	partial := false
 	res, err := droidracer.AnalyzeContext(context.Background(), tr, opts)
@@ -194,7 +194,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "racedet: %v; reporting partial results\n", be)
 	}
 	if res.Degraded {
-		fmt.Fprintf(os.Stderr, "racedet: degraded to the pure-MT baseline detector (%v)\n", res.DegradedReason)
+		fmt.Fprintf(os.Stderr, "racedet: graph abandoned, races from the stream engine (%v)\n", res.DegradedReason)
 	}
 	if *stats {
 		s := res.Stats

@@ -1,7 +1,7 @@
 // Command racedetd is the resilient analysis daemon: it watches a spool
 // directory for trace files, runs each through the supervised job pool
-// (bounded queue, per-job budgets, retry-with-backoff, per-input circuit
-// breaker with the pure-MT baseline as the degraded fallback), and
+// (bounded queue, per-job budgets, retry-with-backoff, a per-input
+// circuit breaker that stops re-running inputs that keep panicking), and
 // journals finished work under a state directory so a restarted daemon
 // re-analyzes only unfinished inputs.
 //
@@ -105,7 +105,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "wall-clock budget per analysis attempt (0 = unlimited)")
 	retries := flag.Int("retries", 1, "extra attempts per job after a transient failure")
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "base backoff between attempts")
-	breaker := flag.Int("breaker", 3, "consecutive hard failures on one input before degrading it (-1 disables)")
+	breaker := flag.Int("breaker", 3, "consecutive recovered panics on one input before refusing it until restart (-1 disables)")
 	poll := flag.Duration("poll", 2*time.Second, "spool re-scan interval")
 	once := flag.Bool("once", false, "sweep the spool once, drain, and exit")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound for in-flight jobs")

@@ -187,10 +187,11 @@ func DefaultHBConfig() HBConfig { return hb.DefaultConfig() }
 func Analyze(tr *Trace, opts Options) (*Result, error) { return core.Analyze(tr, opts) }
 
 // AnalyzeContext is Analyze under a context and opts.Budget: the
-// pipeline polls both in its hot loops, recovers panics into
-// *PanicError, and (with opts.DegradeOnBudget) falls back to the
-// pure-MT baseline detector when the budget runs out, marking the
-// Result Degraded — a report is always produced.
+// pipeline polls both in its hot loops and recovers panics into
+// *PanicError. A graph-engine run that outgrows MaxGraphNodes or
+// MaxClosureEdges is finished by the streaming engine, with the same
+// races and the Result marked Degraded (no Graph). Any other exhausted
+// budget returns the partial Result built so far with a *BudgetError.
 func AnalyzeContext(ctx context.Context, tr *Trace, opts Options) (*Result, error) {
 	return core.AnalyzeContext(ctx, tr, opts)
 }

@@ -7,11 +7,10 @@
 // The paper's detector ran "seconds to hours" per trace with graphs up
 // to 20 MB (§6); a service analyzing adversarial traces must never hang
 // or OOM on one bad input. Every hot loop of the pipeline (the hb
-// fixpoint, the race scan, the explorer DFS) polls a Checker, which
-// turns an exhausted budget into a structured *Error instead of an
-// unbounded computation. Callers then either surface the error with the
-// partial results produced so far or degrade to a cheaper detector (see
-// core.AnalyzeContext).
+// fixpoint, the race scan, the stream replay, the explorer DFS) polls a
+// Checker, which turns an exhausted budget into a structured *Error
+// instead of an unbounded computation. Callers surface it with the
+// partial results produced so far (see core.AnalyzeContext).
 package budget
 
 import (
@@ -30,7 +29,8 @@ type Limits struct {
 	Wall time.Duration
 	// MaxGraphNodes caps the happens-before graph size after node
 	// merging. The graph's reachability bitsets cost O(nodes²) bits, so
-	// this is the primary OOM guard.
+	// this is the graph engine's OOM guard; the streaming engine has no
+	// graph and ignores it.
 	MaxGraphNodes int
 	// MaxClosureEdges caps the number of ≼ pairs the fixpoint may
 	// record (st plus mt).
@@ -94,8 +94,7 @@ func (e *Error) Unwrap() error { return e.Cause }
 // Canceled reports whether the error represents an explicit caller
 // cancellation (context.Canceled) rather than an exhausted budget.
 // Deadline expiry — from Limits.Wall or a context deadline — counts as
-// budget exhaustion, which degraded mode may absorb; cancellation
-// always propagates.
+// budget exhaustion instead.
 func (e *Error) Canceled() bool {
 	return e.Cause != nil && errors.Is(e.Cause, context.Canceled)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -32,9 +33,10 @@ func syntheticTrace(tasks int) *trace.Trace {
 }
 
 // TestAnalyzeDeadlineDegrades is the headline robustness property: a
-// 50 ms deadline on a ≥100k-op trace produces a degraded report well
-// within 2× the deadline — no hang, no panic, no OOM from the O(n²)
-// closure the full analysis would attempt.
+// 50 ms deadline on a ≥100k-op trace ends well within 2× the deadline —
+// no hang, no panic, no OOM — with a wall-clock budget error. What it
+// degrades to is the streaming engine's sound partial result; nothing
+// weaker answers in its place.
 func TestAnalyzeDeadlineDegrades(t *testing.T) {
 	tr := syntheticTrace(25000)
 	if tr.Len() < 100000 {
@@ -45,107 +47,120 @@ func TestAnalyzeDeadlineDegrades(t *testing.T) {
 	start := time.Now()
 	res, err := core.Analyze(tr, opts)
 	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("degradation should absorb the budget error: %v", err)
+	be, ok := budget.AsError(err)
+	if !ok {
+		t.Fatalf("want *budget.Error, got %v", err)
 	}
-	if !res.Degraded {
-		t.Fatal("full analysis of 100k ops in 50ms is implausible; expected a degraded result")
+	if be.Resource != budget.ResourceWallClock || be.Canceled() {
+		t.Fatalf("budget error = %v, want a wall-clock trip", be)
 	}
-	if res.DegradedReason == nil {
-		t.Fatal("degraded result carries no reason")
+	if res == nil || res.Engine != core.EngineStream {
+		t.Fatal("no stream partial result alongside the budget error")
 	}
-	if be, ok := budget.AsError(res.DegradedReason); !ok || be.Resource != budget.ResourceWallClock {
-		t.Fatalf("reason = %v", res.DegradedReason)
-	}
-	if res.Graph != nil {
-		t.Fatal("degraded result should not carry the abandoned graph")
-	}
-	// The synthetic trace has no multithreaded races (all writes ordered
-	// by the looper), so the pure-MT fallback reports nothing — the point
-	// is that a report exists at all.
-	if res.Trace == nil || res.Stats.Length == 0 {
-		t.Fatal("degraded result is missing trace/stats")
-	}
-	// 2× the deadline, the acceptance bound, with the budget polled even
-	// inside bitset allocation; allow scheduling noise on top.
+	// 2× the deadline, the acceptance bound; allow scheduling noise on
+	// top.
 	if elapsed > 2*(50*time.Millisecond)+50*time.Millisecond {
 		t.Fatalf("analysis took %v, want ≤ ~100ms", elapsed)
 	}
 }
 
-// TestAnalyzeBudgetErrorWithPartialResult asserts that with degradation
-// off, budget exhaustion surfaces as a typed *budget.Error alongside the
-// partial result built so far.
+// TestAnalyzeBudgetErrorWithPartialResult asserts that, on either
+// engine, a deadline trip surfaces as a typed *budget.Error alongside
+// the partial result built so far, not marked degraded.
 func TestAnalyzeBudgetErrorWithPartialResult(t *testing.T) {
 	tr := syntheticTrace(25000)
-	opts := core.DefaultOptions()
-	opts.Budget = core.Budget{Wall: 50 * time.Millisecond}
-	opts.DegradeOnBudget = false
-	res, err := core.Analyze(tr, opts)
-	be, ok := budget.AsError(err)
-	if !ok {
-		t.Fatalf("want *budget.Error, got %v", err)
-	}
-	if be.Canceled() {
-		t.Fatal("deadline expiry is not a cancellation")
-	}
-	if res == nil || res.Trace == nil {
-		t.Fatal("no partial result alongside the budget error")
-	}
-	if res.Degraded {
-		t.Fatal("partial result must not be marked degraded")
+	for _, engine := range []string{core.EngineStream, core.EngineGraph} {
+		opts := core.DefaultOptions()
+		opts.Engine = engine
+		opts.Budget = core.Budget{Wall: 50 * time.Millisecond}
+		res, err := core.Analyze(tr, opts)
+		be, ok := budget.AsError(err)
+		if !ok {
+			t.Fatalf("%s: want *budget.Error, got %v", engine, err)
+		}
+		if be.Resource != budget.ResourceWallClock || be.Canceled() {
+			t.Fatalf("%s: budget error = %v, want a wall-clock trip", engine, be)
+		}
+		if res == nil || res.Trace == nil || res.Stats.Length == 0 {
+			t.Fatalf("%s: no partial result (trace, stats) alongside the budget error", engine)
+		}
+		if res.Degraded {
+			t.Fatalf("%s: partial result must not be marked degraded", engine)
+		}
 	}
 }
 
-// TestAnalyzeNodeBudget asserts MaxGraphNodes trips before the O(n²)
-// reachability allocation and degrades.
-func TestAnalyzeNodeBudget(t *testing.T) {
-	tr := syntheticTrace(2000)
+// racySyntheticTrace is syntheticTrace plus a second thread that writes
+// every shared location unordered with the looper's tasks: one
+// multithreaded race per location.
+func racySyntheticTrace(tasks int) *trace.Trace {
+	tr := syntheticTrace(tasks)
+	tr.Append(trace.ThreadInit(2))
+	for i := 0; i < 64; i++ {
+		tr.Append(trace.Write(2, trace.Loc(fmt.Sprintf("shared%d", i))))
+	}
+	return tr
+}
+
+// assertStreamFallback checks that a graph-size trip was finished by the
+// streaming engine: degraded (no graph) for the given resource, but
+// with the exact race set an unbudgeted stream run reports.
+func assertStreamFallback(t *testing.T, tr *trace.Trace, lim core.Budget, resource budget.Resource) {
+	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Engine = core.EngineGraph
-	opts.Budget = core.Budget{MaxGraphNodes: 100}
+	opts.Budget = lim
 	res, err := core.Analyze(tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded {
-		t.Fatal("node cap should degrade")
+	if !res.Degraded || res.Graph != nil {
+		t.Fatalf("size cap should abandon the graph: degraded=%v graph=%v", res.Degraded, res.Graph != nil)
+	}
+	if res.Info == nil {
+		t.Fatal("degraded result lost the annotations")
+	}
+	if res.Engine != core.EngineStream {
+		t.Fatalf("engine = %q, want %q", res.Engine, core.EngineStream)
 	}
 	be, ok := budget.AsError(res.DegradedReason)
-	if !ok || be.Resource != budget.ResourceGraphNodes {
-		t.Fatalf("reason = %v", res.DegradedReason)
+	if !ok || be.Resource != resource {
+		t.Fatalf("reason = %v, want %s", res.DegradedReason, resource)
 	}
 	if be.Stage != "happens-before" {
 		t.Fatalf("stage = %q", be.Stage)
 	}
-}
-
-// TestAnalyzeEdgeBudget asserts MaxClosureEdges bounds the fixpoint.
-func TestAnalyzeEdgeBudget(t *testing.T) {
-	tr := syntheticTrace(500)
-	opts := core.DefaultOptions()
-	opts.Engine = core.EngineGraph
-	opts.Budget = core.Budget{MaxClosureEdges: 1000}
-	res, err := core.Analyze(tr, opts)
+	want, err := core.Analyze(tr, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded {
-		t.Fatal("edge cap should degrade")
+	if len(want.Races) == 0 {
+		t.Fatal("trace has no races; the comparison proves nothing")
 	}
-	be, ok := budget.AsError(res.DegradedReason)
-	if !ok || be.Resource != budget.ResourceClosureEdges {
-		t.Fatalf("reason = %v", res.DegradedReason)
+	if !reflect.DeepEqual(res.Races, want.Races) {
+		t.Fatalf("fallback races differ from an unbudgeted stream run:\n got %v\nwant %v", res.Races, want.Races)
 	}
 }
 
-// TestAnalyzeCancellationPropagates asserts explicit cancellation is
-// never absorbed by degradation.
+// TestAnalyzeNodeBudget asserts MaxGraphNodes trips before the O(n²)
+// reachability allocation and the stream engine finishes the analysis.
+func TestAnalyzeNodeBudget(t *testing.T) {
+	assertStreamFallback(t, racySyntheticTrace(2000), core.Budget{MaxGraphNodes: 100}, budget.ResourceGraphNodes)
+}
+
+// TestAnalyzeEdgeBudget asserts MaxClosureEdges bounds the fixpoint and
+// the stream engine finishes the analysis.
+func TestAnalyzeEdgeBudget(t *testing.T) {
+	assertStreamFallback(t, racySyntheticTrace(500), core.Budget{MaxClosureEdges: 1000}, budget.ResourceClosureEdges)
+}
+
+// TestAnalyzeCancellationPropagates asserts explicit cancellation
+// surfaces as a canceled budget error.
 func TestAnalyzeCancellationPropagates(t *testing.T) {
 	tr := syntheticTrace(25000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts := core.DefaultOptions() // DegradeOnBudget is true
+	opts := core.DefaultOptions()
 	res, err := core.AnalyzeContext(ctx, tr, opts)
 	be, ok := budget.AsError(err)
 	if !ok || !be.Canceled() {

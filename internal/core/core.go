@@ -5,10 +5,12 @@
 // tools, the public API, and the evaluation harness share.
 //
 // The pipeline is hardened for adversarial inputs: AnalyzeContext
-// accepts a context and a Budget, polls them in every hot loop, recovers
-// panics into typed errors, and — when the full st/mt analysis exceeds
-// its budget — degrades to the linear pure-MT baseline detector so a
-// report is always produced.
+// accepts a context and a Budget, polls them in every hot loop, and
+// recovers panics into typed errors. A graph that outgrows its size
+// budget is abandoned for the streaming engine, which reports the same
+// race set in linear memory; any other exhausted budget returns the
+// sound partial result with the budget error. No path answers with a
+// weaker detector than the one it claims.
 package core
 
 import (
@@ -16,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 
-	"droidracer/internal/baseline"
 	"droidracer/internal/budget"
 	"droidracer/internal/hb"
 	"droidracer/internal/obs"
@@ -80,13 +81,8 @@ type Options struct {
 	// DropCancelled removes cancelled posts before analysis (§4.2).
 	DropCancelled bool
 	// Budget bounds the analysis. The zero value means unlimited.
+	// MaxGraphNodes and MaxClosureEdges bound the graph engine only.
 	Budget Budget
-	// DegradeOnBudget falls back to the pure-MT baseline detector when
-	// the full analysis exhausts its budget, producing a Degraded result
-	// instead of an error. Explicit cancellation (context.Canceled) is
-	// never absorbed. When false, budget exhaustion returns the
-	// *budget.Error together with the partial Result built so far.
-	DegradeOnBudget bool
 	// Parallelism is kept only so code written against the former
 	// parallel closure still compiles; the graph engine is serial.
 	// The next change to the serve-path benchmark, its last user,
@@ -99,11 +95,10 @@ type Options struct {
 // DefaultOptions returns the configuration DroidRacer runs with.
 func DefaultOptions() Options {
 	return Options{
-		HB:              hb.DefaultConfig(),
-		Dedup:           true,
-		Validate:        true,
-		DropCancelled:   true,
-		DegradeOnBudget: true,
+		HB:            hb.DefaultConfig(),
+		Dedup:         true,
+		Validate:      true,
+		DropCancelled: true,
 	}
 }
 
@@ -111,33 +106,35 @@ func DefaultOptions() Options {
 type Result struct {
 	// Trace is the analyzed trace (after cancellation pruning).
 	Trace *trace.Trace
-	// Info carries the structural annotations. Nil in degraded results
-	// when annotation itself was cut short.
+	// Info carries the structural annotations. Nil only when the budget
+	// ran out during validation, before annotation.
 	Info *trace.Info
-	// Graph is the happens-before graph. Nil in degraded results: the
-	// full graph was abandoned when the budget tripped.
+	// Graph is the happens-before graph. Nil under the streaming engine
+	// and in degraded results: the graph was abandoned when it outgrew
+	// its size budget.
 	Graph *hb.Graph
-	// Races are the reported data races, classified. In degraded results
-	// they come from the pure-MT baseline: single-threaded races are
-	// missing and classification is limited to multithreaded/unknown.
+	// Races are the reported data races, classified. In a full or
+	// degraded result they are the exact set; alongside a budget error
+	// they are the sound subset found before the budget ran out.
 	Races []race.Race
 	// Stats are the Table 2 statistics of the trace.
 	Stats trace.Stats
-	// Degraded reports that the full analysis exceeded its budget and
-	// the races come from the baseline fallback detector.
+	// Degraded reports that the graph engine exceeded its size budget
+	// and the races come from the streaming engine's replay instead:
+	// the same race set, without the graph.
 	Degraded bool
-	// DegradedReason is the budget error that forced the fallback, nil
+	// DegradedReason is the budget error that abandoned the graph, nil
 	// for full results.
 	DegradedReason error
 	// Phases are the per-phase wall-clock timings of this analysis
-	// (validate, annotate, happens-before, race-scan — or stream-replay
-	// — and degrade when the fallback ran), in completion order.
-	// racedet -phase-timings renders them; they are also mirrored into
-	// the process-wide droidracer_phase_duration_seconds histogram.
+	// (validate, annotate, happens-before, race-scan and/or
+	// stream-replay), in completion order. racedet -phase-timings
+	// renders them; they are also mirrored into the process-wide
+	// droidracer_phase_duration_seconds histogram.
 	Phases []obs.PhaseTiming
 	// Engine is the backend that produced Races: EngineGraph or
-	// EngineStream (degraded results keep the engine that was asked
-	// for; the baseline fallback is reported via Degraded).
+	// EngineStream. A degraded result reports EngineStream, the engine
+	// that replaced the abandoned graph.
 	Engine string
 }
 
@@ -150,12 +147,16 @@ func Analyze(tr *trace.Trace, opts Options) (*Result, error) {
 // AnalyzeContext runs the pipeline under ctx and opts.Budget. Outcomes:
 //
 //   - Within budget: a full Result, nil error.
-//   - Budget exhausted, opts.DegradeOnBudget: a Degraded Result backed
-//     by the pure-MT baseline detector, nil error.
-//   - Budget exhausted otherwise: the partial Result built so far (its
-//     Graph may be nil or under-closed) and a *budget.Error.
+//   - EngineGraph over MaxGraphNodes or MaxClosureEdges: the trace is
+//     replayed on the streaming engine under the same checker, so the
+//     deadline and cancellation still apply. The Result is Degraded (no
+//     Graph) but its Races are the exact set, and Engine is
+//     EngineStream.
+//   - Wall clock or context deadline exhausted, on either engine: the
+//     partial Result built so far (its Graph may be nil or
+//     under-closed, its Races a sound subset) and a *budget.Error.
 //   - ctx canceled: partial Result and a *budget.Error with
-//     Canceled() == true — never absorbed by degradation.
+//     Canceled() == true.
 //   - Panic in the pipeline or the app model: a *budget.PanicError.
 //   - Invalid trace: a plain validation error, as before.
 func AnalyzeContext(ctx context.Context, tr *trace.Trace, opts Options) (res *Result, err error) {
@@ -184,9 +185,6 @@ func analyze(ctx context.Context, tr *trace.Trace, opts Options) (*Result, error
 	res, err := analyzePhased(ctx, tr, opts, ph)
 	if res != nil {
 		res.Phases = ph.Timings()
-		// Record which backend the caller asked for, even on degraded or
-		// partial results; an unknown selector never reaches here.
-		res.Engine, _ = NormalizeEngine(opts.Engine)
 	}
 	return res, err
 }
@@ -205,7 +203,7 @@ func analyzePhased(ctx context.Context, tr *trace.Trace, opts Options, ph *obs.P
 		sp := ph.Start("validate")
 		if err := ck.CheckNow(); err != nil {
 			sp.End()
-			return degradeOrErr(tr, nil, opts, ck, ph, err)
+			return &Result{Trace: tr, Stats: trace.ComputeStats(tr, nil), Engine: eng}, err
 		}
 		i, err := semantics.ValidateInferred(tr)
 		sp.End()
@@ -227,8 +225,8 @@ func analyzePhased(ctx context.Context, tr *trace.Trace, opts Options, ph *obs.P
 	g, err := hb.BuildBudgeted(info, opts.HB, ck)
 	sp.End()
 	if err != nil {
-		res := &Result{Trace: tr, Info: info, Graph: g, Stats: trace.ComputeStats(tr, nil)}
-		return degradeOrErr(tr, res, opts, ck, ph, err)
+		return streamFallback(tr, info, opts, ck, ph, err,
+			&Result{Trace: tr, Info: info, Graph: g, Stats: trace.ComputeStats(tr, nil), Engine: EngineGraph})
 	}
 	ck.SetStage("race-scan")
 	sp = ph.Start("race-scan")
@@ -241,16 +239,38 @@ func analyzePhased(ctx context.Context, tr *trace.Trace, opts Options, ph *obs.P
 	}
 	sp.End()
 	res := &Result{
-		Trace: tr,
-		Info:  info,
-		Graph: g,
-		Races: races,
-		Stats: trace.ComputeStats(tr, nil),
+		Trace:  tr,
+		Info:   info,
+		Graph:  g,
+		Races:  races,
+		Stats:  trace.ComputeStats(tr, nil),
+		Engine: EngineGraph,
 	}
 	if err != nil {
-		return degradeOrErr(tr, res, opts, ck, ph, err)
+		return streamFallback(tr, info, opts, ck, ph, err, res)
 	}
 	return res, nil
+}
+
+// streamFallback decides what a budget trip under EngineGraph becomes.
+// A graph-size cap (MaxGraphNodes, MaxClosureEdges) bounds only the
+// graph's quadratic memory, which the streaming engine does not have:
+// the annotated trace is replayed there under the same checker, and the
+// exact race set comes back Degraded, without the graph. Any other trip
+// (wall clock, context) returns the partial graph result and the error,
+// and so does a size trip under the STOnly ablation, which the
+// streaming engine cannot replay.
+func streamFallback(tr *trace.Trace, info *trace.Info, opts Options, ck *budget.Checker, ph *obs.Phases, err error, partial *Result) (*Result, error) {
+	be, ok := budget.AsError(err)
+	if !ok || opts.HB.STOnly || (be.Resource != budget.ResourceGraphNodes && be.Resource != budget.ResourceClosureEdges) {
+		return partial, err
+	}
+	res, serr := analyzeStream(tr, info, opts, ck, ph)
+	if serr == nil {
+		res.Degraded = true
+		res.DegradedReason = err
+	}
+	return res, serr
 }
 
 // analyzeStream is the EngineStream pipeline tail: one budgeted clock
@@ -259,96 +279,14 @@ func analyzePhased(ctx context.Context, tr *trace.Trace, opts Options, ph *obs.P
 // minimization) require EngineGraph and report that themselves. The
 // STOnly ablation has no streaming equivalent (its truncated relation
 // is not transitive, and a vector clock is inherently transitive), so
-// that configuration is a hard error rather than a budget degrade.
+// that configuration is a hard error.
 func analyzeStream(tr *trace.Trace, info *trace.Info, opts Options, ck *budget.Checker, ph *obs.Phases) (*Result, error) {
 	ck.SetStage("stream-replay")
 	sp := ph.Start("stream-replay")
 	out, err := stream.Run(info, stream.Options{HB: opts.HB, Dedup: opts.Dedup}, ck)
 	sp.End()
-	res := &Result{Trace: tr, Info: info, Stats: trace.ComputeStats(tr, nil)}
-	if out != nil {
-		res.Races = out.Races
+	if errors.Is(err, stream.ErrSTOnly) {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err != nil {
-		if errors.Is(err, stream.ErrSTOnly) {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		return degradeOrErr(tr, res, opts, ck, ph, err)
-	}
-	return res, nil
-}
-
-// AnalyzeBaseline runs only the linear pure-MT baseline detector on tr,
-// producing the same Degraded result shape that budget exhaustion
-// degrades to. The jobs supervisor routes inputs here once their circuit
-// breaker opens: an input that repeatedly paniced or timed out under the
-// full analysis still yields a report, at baseline fidelity, without
-// re-entering the code that failed. The reason is recorded as
-// DegradedReason.
-func AnalyzeBaseline(tr *trace.Trace, opts Options, reason error) (res *Result, err error) {
-	// Even the fallback is panic-isolated: an input bad enough to trip
-	// the breaker must not get a second chance to crash the process.
-	ierr := budget.Isolate("core.AnalyzeBaseline", func() error {
-		if opts.DropCancelled {
-			tr = tr.WithoutCancelled()
-		}
-		ph := obs.NewPhases()
-		res = degrade(tr, nil, ph, reason)
-		res.Phases = ph.Timings()
-		return nil
-	})
-	if ierr != nil {
-		publishAnalysis(nil, ierr)
-		return nil, ierr
-	}
-	publishAnalysis(res, nil)
-	return res, nil
-}
-
-// degradeOrErr decides what an exhausted budget becomes: a degraded
-// baseline-backed result, or the partial result plus the budget error.
-// Explicit cancellation always propagates. The partial result is never
-// nil — a budget that trips before any stage produced output (e.g.
-// during validation) still hands back the pruned trace and its stats,
-// so downstream reporting always has a row to render.
-func degradeOrErr(tr *trace.Trace, partial *Result, opts Options, ck *budget.Checker, ph *obs.Phases, err error) (*Result, error) {
-	if be, ok := budget.AsError(err); ok && opts.DegradeOnBudget && !be.Canceled() {
-		return degrade(tr, partial, ph, err), nil
-	}
-	if partial == nil {
-		partial = &Result{Trace: tr, Stats: trace.ComputeStats(tr, nil)}
-	}
-	return partial, err
-}
-
-// degrade produces the fallback result: races from the linear pure-MT
-// baseline detector, which needs no happens-before graph and no budget.
-func degrade(tr *trace.Trace, partial *Result, ph *obs.Phases, reason error) *Result {
-	sp := ph.Start("degrade")
-	defer sp.End()
-	res := partial
-	if res == nil {
-		res = &Result{Trace: tr, Stats: trace.ComputeStats(tr, nil)}
-	}
-	res.Graph = nil
-	res.Races = racesFromFindings(tr, baseline.NewPureMT().Detect(tr))
-	res.Degraded = true
-	res.DegradedReason = reason
-	return res
-}
-
-// racesFromFindings converts baseline findings into the report's race
-// representation. Baseline detectors have no post-chain information, so
-// classification is limited: accesses on two threads are multithreaded,
-// anything else is unknown.
-func racesFromFindings(tr *trace.Trace, fs []baseline.Finding) []race.Race {
-	races := make([]race.Race, 0, len(fs))
-	for _, f := range fs {
-		cat := race.Unknown
-		if tr.Op(f.First).Thread != tr.Op(f.Second).Thread {
-			cat = race.Multithreaded
-		}
-		races = append(races, race.Race{First: f.First, Second: f.Second, Loc: f.Loc, Category: cat})
-	}
-	return races
+	return &Result{Trace: tr, Info: info, Races: out.Races, Stats: trace.ComputeStats(tr, nil), Engine: EngineStream}, err
 }

@@ -631,15 +631,20 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // pollStatus asks one backend for id's status and, when the backend
 // knows the job, answers the poll with it and reports true. Terminal
-// answers fill the cache.
+// answers clear the pending entry; done and quarantined ones fill the
+// cache. A failed job is terminal for this run but never cached: a
+// resubmission runs it again.
 func (g *Gateway) pollStatus(ctx context.Context, w http.ResponseWriter, id, target string) bool {
 	cl := server.Client{BaseURL: target, HTTPClient: g.httpc}
 	resp, err := cl.Status(ctx, id)
 	if err != nil || resp.Status == "unknown" {
 		return false
 	}
-	if resp.Status == server.StatusDone || resp.Status == server.StatusQuarantined {
+	switch resp.Status {
+	case server.StatusDone, server.StatusQuarantined:
 		g.cacheFill(id, target, *resp)
+		g.clearPending(id)
+	case server.StatusFailed:
 		g.clearPending(id)
 	}
 	respond(w, http.StatusOK, resp)

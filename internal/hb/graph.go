@@ -132,8 +132,10 @@ func Build(info *trace.Info, cfg Config) *Graph {
 // returned together with a *budget.Error; its relation is a sound
 // under-approximation of ≼, so reachability answers remain usable for
 // diagnostics, but race detection over it may report false positives —
-// callers should degrade instead (see core.AnalyzeContext). A nil
-// checker reproduces Build exactly.
+// callers must not scan it for races (core.AnalyzeContext replays the
+// trace on the streaming engine after a size trip and returns the
+// partial result with the error otherwise). A nil checker reproduces
+// Build exactly.
 func BuildBudgeted(info *trace.Info, cfg Config, ck *budget.Checker) (*Graph, error) {
 	g := &Graph{cfg: cfg, info: info, ck: ck, edgeCount: -1}
 	g.buildNodes()

@@ -78,12 +78,13 @@ func (r RetryPolicy) pause(ctx context.Context, attempt int) error {
 }
 
 // BreakerPolicy configures the per-input circuit breaker: after
-// Threshold consecutive hard failures (panics or wall-clock/budget
-// exhaustion) on the same job key, the breaker opens for that key and
-// subsequent runs go straight to the job's degraded fallback. Softer
-// failures (parse errors, divergence) do not count — they are either
-// permanent (retries won't help, but neither would the fallback) or
-// transient (retries handle them).
+// Threshold consecutive recovered panics on the same job key, the
+// breaker opens for that key and later runs fail at once instead of
+// re-entering the code that panicked. Nothing else counts. An exhausted
+// budget says as much about the caller's deadline as about the input
+// (three short client deadlines on one body must not refuse every later
+// submitter of it), parse errors are permanent, and divergence is
+// transient (retries handle it).
 type BreakerPolicy struct {
 	// Threshold is the consecutive hard-failure count that opens the
 	// breaker (default 3; negative disables the breaker).
@@ -96,7 +97,7 @@ type BreakerPolicy struct {
 //   - The pool's per-input breaker (keys are trace paths). It never
 //     calls Reset: the same input deterministically re-fed to the code
 //     that paniced will panic again, so an open key stays open for the
-//     life of the pool and work degrades to the fallback.
+//     life of the pool and its jobs fail without running.
 //   - The gateway's per-backend breaker (keys are backend URLs).
 //     Backends do recover — a crashed daemon restarts — so the health
 //     prober acts as the half-open probe: a successful /readyz check
@@ -208,8 +209,8 @@ func (b *Breaker) Reset(key string) bool {
 }
 
 // newBreaker builds the pool's per-input breaker: hard failures only
-// (panics, exhausted budgets), jobs-namespaced transition metrics, and
-// no reset path.
+// (recovered panics), jobs-namespaced transition metrics, and no reset
+// path.
 func newBreaker(p BreakerPolicy) *Breaker {
 	b := &Breaker{
 		Threshold: p.Threshold,
@@ -226,16 +227,9 @@ func newBreaker(p BreakerPolicy) *Breaker {
 }
 
 // hardFailure reports whether err is the kind of failure the pool's
-// breaker counts: a recovered panic or exhausted budget (wall clock,
-// graph nodes, closure edges, sequences) — not cancellation, not plain
-// errors.
+// breaker counts: a recovered panic — not an exhausted budget, not
+// cancellation, not plain errors.
 func hardFailure(err error) bool {
 	var pe *budget.PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	if be, ok := budget.AsError(err); ok {
-		return !be.Canceled()
-	}
-	return false
+	return errors.As(err, &pe)
 }

@@ -11,7 +11,6 @@ import (
 	"droidracer/internal/explorer"
 	"droidracer/internal/journal"
 	"droidracer/internal/race"
-	"droidracer/internal/trace"
 )
 
 // Campaign is one restartable exploration campaign: a bound-k DFS over
@@ -328,29 +327,22 @@ func analyzeTest(ctx context.Context, opts core.Options, t *explorer.Test) testE
 	if res.Degraded {
 		entry.Mode = "degraded"
 	}
-	entry.Races = raceIDs(res, t.Trace)
+	entry.Races = raceIDs(res)
 	return entry
 }
 
 // raceIDs converts detected races to their replay-stable identities.
-// When the access-key computation is unavailable (no structural info in
-// a degraded result and re-annotation fails), the trace indices — which
-// are deterministic for a fixed exploration seed — stand in.
-func raceIDs(res *core.Result, tr *trace.Trace) []RaceID {
-	info := res.Info
-	if info == nil {
-		info, _ = trace.Analyze(tr)
-	}
+// When an access key is unavailable, the trace indices — which are
+// deterministic for a fixed exploration seed — stand in.
+func raceIDs(res *core.Result) []RaceID {
 	ids := make([]RaceID, 0, len(res.Races))
 	for _, r := range res.Races {
 		id := RaceID{Cat: int(r.Category), Category: r.Category.String(), Loc: string(r.Loc)}
-		if info != nil {
-			if ka, err := race.KeyOf(info, r.First); err == nil {
-				id.First = accessKeyString(ka)
-			}
-			if kb, err := race.KeyOf(info, r.Second); err == nil {
-				id.Second = accessKeyString(kb)
-			}
+		if ka, err := race.KeyOf(res.Info, r.First); err == nil {
+			id.First = accessKeyString(ka)
+		}
+		if kb, err := race.KeyOf(res.Info, r.Second); err == nil {
+			id.Second = accessKeyString(kb)
 		}
 		if id.First == "" {
 			id.First = fmt.Sprintf("@%d", r.First)

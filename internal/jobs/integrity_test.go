@@ -103,7 +103,7 @@ func TestCorruptSpoolBodyQuarantined(t *testing.T) {
 	if !ok || !strings.Contains(reason, "corrupt") {
 		t.Fatalf("quarantine reason = %q, want a corrupt reason", reason)
 	}
-	if CompletedJobs(entries)[name] {
+	if _, ok := CompletedRecords(entries)[name]; ok {
 		t.Fatal("corrupt input journaled as completed")
 	}
 }

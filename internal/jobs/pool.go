@@ -1,8 +1,8 @@
 // Package jobs is the supervised job-execution layer of the resilient
 // analysis service: a worker pool with a bounded queue, admission
 // control and load-shedding; per-job supervision composing budget.Limits
-// with retry-with-backoff and a per-input circuit breaker that falls
-// back to the degraded pure-MT baseline; crash-safe checkpoint/resume of
+// with retry-with-backoff and a per-input circuit breaker that stops
+// re-running inputs that keep panicking; crash-safe checkpoint/resume of
 // exploration campaigns over a write-ahead journal; and graceful
 // shutdown that drains in-flight work, checkpoints the rest, and
 // reports per-job outcomes through the report package.
@@ -36,18 +36,12 @@ import (
 type Job struct {
 	// Name labels the job in reports and journals.
 	Name string
-	// Key groups jobs for the circuit breaker: repeated panics or
-	// timeouts under the same key open the breaker for that input.
-	// Defaults to Name.
+	// Key groups jobs for the circuit breaker: repeated panics under
+	// the same key open the breaker for that input. Defaults to Name.
 	Key string
 	// Run performs the full-fidelity work under ctx and the pool's
 	// per-attempt budget limits.
 	Run func(ctx context.Context, lim budget.Limits) (*core.Result, error)
-	// Fallback, when non-nil, is the degraded path used once the breaker
-	// for Key is open; reason is the failure that opened it. It should
-	// avoid the code that failed (e.g. core.AnalyzeBaseline instead of
-	// the full pipeline).
-	Fallback func(ctx context.Context, reason error) (*core.Result, error)
 	// Path, when set, is the job's input file on disk. The pool's
 	// quarantine (Config.Quarantine) moves it to the dead-letter
 	// directory when the job proves poisonous.
@@ -489,7 +483,7 @@ func (p *Pool) runJob(job Job, ctx context.Context) report.Outcome {
 	out := report.Outcome{Name: job.Name}
 	key := job.key()
 	if reason, open := p.brk.OpenFor(key); open {
-		return p.degrade(ctx, job, out, reason)
+		return breakerOpen(out, key, reason)
 	}
 	retry := p.cfg.Retry.withDefaults()
 	var lastErr error
@@ -518,8 +512,8 @@ func (p *Pool) runJob(job Job, ctx context.Context) report.Outcome {
 		}
 		if opened := p.brk.Failure(key, err); opened {
 			// The breaker opened on this failure; stop burning attempts
-			// on an input that keeps killing the full pipeline.
-			return p.degrade(ctx, job, out, err)
+			// on an input that keeps killing the pipeline.
+			return breakerOpen(out, key, err)
 		}
 		if !retry.Retryable(err) {
 			break
@@ -530,9 +524,6 @@ func (p *Pool) runJob(job Job, ctx context.Context) report.Outcome {
 				return out
 			}
 		}
-	}
-	if reason, open := p.brk.OpenFor(key); open {
-		return p.degrade(ctx, job, out, reason)
 	}
 	out.Err = lastErr
 	return out
@@ -556,14 +547,10 @@ func (p *Pool) runAttempt(job Job, ctx context.Context) (res *core.Result, err e
 	return res, err
 }
 
-// degrade runs the job's fallback (if any) because the breaker is open.
-func (p *Pool) degrade(ctx context.Context, job Job, out report.Outcome, reason error) report.Outcome {
-	if job.Fallback == nil {
-		out.Err = fmt.Errorf("jobs: breaker open for %s: %w", job.key(), reason)
-		return out
-	}
-	res, err := job.Fallback(ctx, reason)
-	out.Result, out.Err = res, err
+// breakerOpen fails the job because the breaker for key is open: the
+// input is not run again, and no weaker analysis answers in its place.
+func breakerOpen(out report.Outcome, key string, reason error) report.Outcome {
+	out.Err = fmt.Errorf("jobs: breaker open for %s: %w", key, reason)
 	return out
 }
 
@@ -600,20 +587,13 @@ func OutcomeMode(out report.Outcome) string {
 	}
 }
 
-// CompletedJobs extracts the names of successfully finished jobs ("full"
-// or "degraded") from journal entries, so a restarted daemon re-runs
-// only unfinished inputs.
-func CompletedJobs(entries []journal.Entry) map[string]bool {
-	done := make(map[string]bool)
-	for name := range CompletedRecords(entries) {
-		done[name] = true
-	}
-	return done
-}
-
-// CompletedRecords is CompletedJobs keeping the full journal record per
-// completed job (latest entry wins), so the ingestion layer can replay
-// mode, race count, and race-set digest to duplicate submissions.
+// CompletedRecords extracts the journal record of every job that
+// finished with a full analysis (latest entry wins), so a restarted
+// daemon re-runs only unfinished inputs and the ingestion layer can
+// replay mode, race count, and race-set digest to duplicate
+// submissions. Any other mode is not a completion: a "degraded" record
+// written by an earlier version carries a pure-MT race set, so its
+// input is analyzed again instead of replayed.
 func CompletedRecords(entries []journal.Entry) map[string]JobEntry {
 	done := make(map[string]JobEntry)
 	for _, e := range entries {
@@ -624,7 +604,7 @@ func CompletedRecords(entries []journal.Entry) map[string]JobEntry {
 		if err := e.Decode(&je); err != nil {
 			continue
 		}
-		if je.Mode == "full" || je.Mode == "degraded" {
+		if je.Mode == "full" {
 			done[je.Name] = je
 		}
 	}
@@ -634,7 +614,7 @@ func CompletedRecords(entries []journal.Entry) map[string]JobEntry {
 // BreakerOpen reports whether the per-input circuit breaker is open for
 // key, with the failure that opened it. The ingestion layer consults it
 // at admission time so a known-bad input is refused with 503 instead of
-// burning a worker on its degraded fallback.
+// queueing a job that would fail at once.
 func (p *Pool) BreakerOpen(key string) (error, bool) {
 	return p.brk.OpenFor(key)
 }
@@ -670,12 +650,11 @@ func parseSpoolFile(path string) (*trace.Trace, error) {
 }
 
 // TraceJob builds the supervised job that analyzes the trace file at
-// path: the full pipeline under the pool budget, with the pure-MT
-// baseline as the breaker fallback. The file is re-read and re-verified
-// per attempt (see parseSpoolFile) — a corrupt read fails the attempt
-// with a deterministic error, which exhausts retries and dead-letters
-// the file through the quarantine with its `corrupt` reason — and the
-// parse itself is inside the supervised boundary.
+// path: the full pipeline under the pool budget. The file is re-read
+// and re-verified per attempt (see parseSpoolFile) — a corrupt read
+// fails the attempt with a deterministic error, which exhausts retries
+// and dead-letters the file through the quarantine with its `corrupt`
+// reason — and the parse itself is inside the supervised boundary.
 func TraceJob(name, path string, opts core.Options) Job {
 	return Job{
 		Name: name,
@@ -695,13 +674,6 @@ func TraceJob(name, path string, opts core.Options) Job {
 				o.Budget = lim
 			}
 			return core.AnalyzeContext(ctx, tr, o)
-		},
-		Fallback: func(ctx context.Context, reason error) (*core.Result, error) {
-			tr, err := parseSpoolFile(path)
-			if err != nil {
-				return nil, err
-			}
-			return core.AnalyzeBaseline(tr, opts, reason)
 		},
 	}
 }

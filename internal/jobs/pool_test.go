@@ -138,17 +138,20 @@ func TestCancellationIsNotRetried(t *testing.T) {
 	}
 }
 
-func TestBreakerTripsToDegradedFallback(t *testing.T) {
+// TestBreakerOpensWithoutFallback pins the breaker's one outcome: once
+// an input has panicked Threshold times in a row, its jobs fail with a
+// breaker-open error and never run again. No weaker analysis answers in
+// their place.
+func TestBreakerOpensWithoutFallback(t *testing.T) {
 	p := NewPool(Config{Workers: 1, Breaker: BreakerPolicy{Threshold: 2}})
+	runs := 0
 	panicky := func(name string) Job {
 		return Job{
 			Name: name,
 			Key:  "same-input",
 			Run: func(context.Context, budget.Limits) (*core.Result, error) {
+				runs++
 				panic("corrupt model")
-			},
-			Fallback: func(_ context.Context, reason error) (*core.Result, error) {
-				return &core.Result{Degraded: true, DegradedReason: reason}, nil
 			},
 		}
 	}
@@ -163,13 +166,54 @@ func TestBreakerTripsToDegradedFallback(t *testing.T) {
 	if !errors.As(byName["job-0"].Err, &pe) {
 		t.Fatalf("job-0 err = %v", byName["job-0"].Err)
 	}
-	// Second panic on the same key opens the breaker mid-job: degraded.
-	if r := byName["job-1"].Result; r == nil || !r.Degraded {
-		t.Fatalf("job-1 = %+v", byName["job-1"])
+	// The second panic on the same key opens the breaker mid-job, and
+	// the third never enters the panicking path. Both fail, result-less.
+	for _, name := range []string{"job-1", "job-2"} {
+		out := byName[name]
+		if out.Result != nil || out.Err == nil || !strings.Contains(out.Err.Error(), "breaker open") {
+			t.Fatalf("%s = %+v, want a result-less breaker-open failure", name, out)
+		}
+		if !errors.As(out.Err, &pe) {
+			t.Fatalf("%s err %v does not carry the panic that opened the breaker", name, out.Err)
+		}
 	}
-	// Third never enters the panicking path: straight to the fallback.
-	if r := byName["job-2"].Result; r == nil || !r.Degraded {
-		t.Fatalf("job-2 = %+v", byName["job-2"])
+	if runs != 2 {
+		t.Fatalf("the panicking job ran %d times, want 2 (the open breaker must stop the third)", runs)
+	}
+	if _, open := p.BreakerOpen("same-input"); !open {
+		t.Fatal("breaker not open after two consecutive panics")
+	}
+}
+
+// TestDeadlineTripsDoNotOpenBreaker pins that exhausted budgets are not
+// hard failures: a body submitted with short client deadlines again and
+// again must not get every later submitter of it refused.
+func TestDeadlineTripsDoNotOpenBreaker(t *testing.T) {
+	p := NewPool(Config{Workers: 1, Breaker: BreakerPolicy{Threshold: 2}})
+	runs := 0
+	for i := 0; i < 3; i++ {
+		p.Submit(Job{Name: fmt.Sprintf("short-%d", i), Key: "same-input",
+			Run: func(context.Context, budget.Limits) (*core.Result, error) {
+				runs++
+				return &core.Result{}, &budget.Error{Stage: "stream-replay", Resource: budget.ResourceWallClock}
+			}})
+		p.Quiesce()
+	}
+	if _, open := p.BreakerOpen("same-input"); open {
+		t.Fatal("three deadline trips opened the breaker")
+	}
+	p.Submit(Job{Name: "patient", Key: "same-input",
+		Run: func(context.Context, budget.Limits) (*core.Result, error) {
+			runs++
+			return &core.Result{}, nil
+		}})
+	p.Quiesce()
+	outs := p.Shutdown(context.Background())
+	if out := outcomesByName(outs)["patient"]; out.Err != nil || out.Result == nil {
+		t.Fatalf("job after deadline trips = %+v, want a full run", out)
+	}
+	if runs != 4 {
+		t.Fatalf("ran %d jobs, want all 4", runs)
 	}
 }
 
@@ -229,8 +273,8 @@ func TestPoolJournalsCompletedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := CompletedJobs(entries)
-	if !done["t1.trace"] {
+	done := CompletedRecords(entries)
+	if done["t1.trace"].Mode != "full" {
 		t.Fatalf("completed jobs = %v", done)
 	}
 }
@@ -293,11 +337,12 @@ func TestPoolKilledMidDrainResumesFromJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := CompletedJobs(entries)
-	if !done["t1.trace"] {
+	done := CompletedRecords(entries)
+	if _, ok := done["t1.trace"]; !ok {
 		t.Fatalf("journaled work lost in crash: %v", done)
 	}
-	if done["t2.trace"] || done["t3.trace"] {
+	_, t2 := done["t2.trace"]
+	if _, t3 := done["t3.trace"]; t2 || t3 {
 		t.Fatalf("drained jobs journaled as complete: %v", done)
 	}
 	w, err := journal.Create(jpath)
@@ -306,7 +351,7 @@ func TestPoolKilledMidDrainResumesFromJournal(t *testing.T) {
 	}
 	p := NewPool(Config{Workers: 1, Journal: w})
 	for _, name := range []string{"t1.trace", "t2.trace", "t3.trace"} {
-		if done[name] {
+		if _, ok := done[name]; ok {
 			continue
 		}
 		p.Submit(TraceJob(name, filepath.Join(dir, "t1.trace"), core.DefaultOptions()))
@@ -320,9 +365,9 @@ func TestPoolKilledMidDrainResumesFromJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done = CompletedJobs(entries)
+	done = CompletedRecords(entries)
 	for _, name := range []string{"t1.trace", "t2.trace", "t3.trace"} {
-		if !done[name] {
+		if _, ok := done[name]; !ok {
 			t.Fatalf("after restart %s still unfinished: %v", name, done)
 		}
 	}
@@ -538,7 +583,7 @@ func TestPoolQuarantinesPoisonInput(t *testing.T) {
 	}
 	// The dead letter is not a completion: a restart must not treat the
 	// input as analyzed, it must treat it as untouchable.
-	if CompletedJobs(entries)["bad.trace"] {
+	if _, ok := CompletedRecords(entries)["bad.trace"]; ok {
 		t.Fatal("quarantined input journaled as completed")
 	}
 }

@@ -19,7 +19,7 @@ import (
 // (parse errors, isolated panics) are journaled as quarantined and their
 // input file is moved here, so a restarted daemon never re-ingests them.
 // Transient failures — budget exhaustion, cancellation — are never
-// quarantined: those degrade or are retried by the next incarnation.
+// quarantined: a resubmission or the next spool sweep retries them.
 type Quarantine struct {
 	// Dir is the quarantine directory (created on first use).
 	Dir string

@@ -108,8 +108,9 @@ func (o Outcome) detail() string {
 
 // Pipeline renders one row per outcome: name, mode
 // (full/degraded/partial/error), race count, and the reason. Degraded
-// and partial rows keep their (baseline or incomplete) race counts, so
-// a budget-limited batch still yields a usable report. When any outcome
+// rows keep their (exact, stream-engine) race counts and partial rows
+// their incomplete ones, so a budget-limited batch still yields a
+// usable report. When any outcome
 // carries per-phase timings a Time column is added (total analysis
 // wall-clock per row); reports without timings render exactly as
 // before.

@@ -44,10 +44,12 @@ func TestPipelineRoundTripsEveryOutcome(t *testing.T) {
 	}
 	outcomes = append(outcomes, report.Outcome{Name: "figure4-full", Result: full, Err: nil})
 
-	// Degraded analysis.
+	// Degraded analysis: a graph node cap hands the trace to the
+	// stream engine.
 	opts := core.DefaultOptions()
-	opts.Budget = core.Budget{Wall: 30 * time.Millisecond}
-	deg, err := core.Analyze(bigTrace(25000), opts)
+	opts.Engine = core.EngineGraph
+	opts.Budget = core.Budget{MaxGraphNodes: 100}
+	deg, err := core.Analyze(bigTrace(2000), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +58,9 @@ func TestPipelineRoundTripsEveryOutcome(t *testing.T) {
 	}
 	outcomes = append(outcomes, report.Outcome{Name: "big-degraded", Result: deg})
 
-	// Partial result with a budget error.
-	opts.DegradeOnBudget = false
+	// Partial result with a budget error: a deadline.
+	opts = core.DefaultOptions()
+	opts.Budget = core.Budget{Wall: 30 * time.Millisecond}
 	partial, perr := core.Analyze(bigTrace(25000), opts)
 	if _, ok := budget.AsError(perr); !ok || partial == nil {
 		t.Fatalf("expected partial result + budget error, got %v / %v", partial, perr)
@@ -87,8 +90,8 @@ func TestPipelineRoundTripsEveryOutcome(t *testing.T) {
 	out := report.Pipeline(outcomes)
 	for _, want := range []string{
 		"figure4-full", "full",
-		"big-degraded", "degraded", "budget: wall-clock",
-		"big-partial", "partial",
+		"big-degraded", "degraded", "budget: graph-nodes",
+		"big-partial", "partial", "budget: wall-clock",
 		"bad-error", "error",
 		"job-queued", "queued",
 		"job-shed", "shed", "queue-full",
@@ -121,7 +124,7 @@ func TestPipelineAnnotatesRetriedAndResumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded := &core.Result{Degraded: true, DegradedReason: fmt.Errorf("breaker open")}
+	degraded := &core.Result{Degraded: true, DegradedReason: &budget.Error{Resource: budget.ResourceGraphNodes}}
 	out := report.Pipeline([]report.Outcome{
 		{Name: "retried", Result: full, Attempts: 3},
 		{Name: "resumed", Result: full, Resumed: true},

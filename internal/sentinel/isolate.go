@@ -72,29 +72,41 @@ func (e *ResourceError) Deterministic() bool { return true }
 // chatters on stdout. The worker runs the streaming engine, the only
 // one the daemon serves.
 type workerSpec struct {
-	Trace           string    `json:"trace"`
-	Out             string    `json:"out"`
-	MemLimit        int64     `json:"mem_limit"`
-	HB              hb.Config `json:"hb"`
-	Dedup           bool      `json:"dedup,omitempty"`
-	Validate        bool      `json:"validate,omitempty"`
-	DropCancelled   bool      `json:"drop_cancelled,omitempty"`
-	DegradeOnBudget bool      `json:"degrade_on_budget,omitempty"`
-	WallMS          int64     `json:"wall_ms,omitempty"`
+	Trace         string    `json:"trace"`
+	Out           string    `json:"out"`
+	MemLimit      int64     `json:"mem_limit"`
+	HB            hb.Config `json:"hb"`
+	Dedup         bool      `json:"dedup,omitempty"`
+	Validate      bool      `json:"validate,omitempty"`
+	DropCancelled bool      `json:"drop_cancelled,omitempty"`
+	// Wall is the analysis wall budget in nanoseconds, untruncated: a
+	// sub-millisecond deadline must not reach the child as 0, which
+	// means unlimited.
+	Wall time.Duration `json:"wall_ns,omitempty"`
 }
 
 // workerResult is what a surviving worker writes to the Out file:
 // either an analysis error (Err — the original failure taxonomy, not a
 // resource one) or the races and stats the parent rebuilds a
-// core.Result from. Races travel with the exact fields ResultDigest
-// hashes, so fleet digest equality holds across the process boundary.
+// core.Result from. A budget trip sends both: the sound partial races
+// and Budget, which the parent rebuilds into the *budget.Error. Races
+// travel with the exact fields ResultDigest hashes, so fleet digest
+// equality holds across the process boundary.
 type workerResult struct {
-	Err            string       `json:"err,omitempty"`
-	Races          []workerRace `json:"races,omitempty"`
-	Degraded       bool         `json:"degraded,omitempty"`
-	DegradedReason string       `json:"degraded_reason,omitempty"`
-	Stats          trace.Stats  `json:"stats"`
-	PeakBytes      int64        `json:"peak_bytes,omitempty"`
+	Err       string        `json:"err,omitempty"`
+	Budget    *workerBudget `json:"budget,omitempty"`
+	Races     []workerRace  `json:"races,omitempty"`
+	Stats     trace.Stats   `json:"stats"`
+	PeakBytes int64         `json:"peak_bytes,omitempty"`
+}
+
+// workerBudget is a *budget.Error on the wire, without its context
+// cause (the child runs under no context of the parent's).
+type workerBudget struct {
+	Stage    string          `json:"stage"`
+	Resource budget.Resource `json:"resource"`
+	Limit    int64           `json:"limit,omitempty"`
+	Used     int64           `json:"used,omitempty"`
 }
 
 type workerRace struct {
@@ -171,15 +183,14 @@ func (i *Isolator) Run(ctx context.Context, path string, opts core.Options) (*co
 	defer os.Remove(outPath)
 
 	spec := workerSpec{
-		Trace:           path,
-		Out:             outPath,
-		MemLimit:        memLimit,
-		HB:              opts.HB,
-		Dedup:           opts.Dedup,
-		Validate:        opts.Validate,
-		DropCancelled:   opts.DropCancelled,
-		DegradeOnBudget: opts.DegradeOnBudget,
-		WallMS:          int64(opts.Budget.Wall / time.Millisecond),
+		Trace:         path,
+		Out:           outPath,
+		MemLimit:      memLimit,
+		HB:            opts.HB,
+		Dedup:         opts.Dedup,
+		Validate:      opts.Validate,
+		DropCancelled: opts.DropCancelled,
+		Wall:          opts.Budget.Wall,
 	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
@@ -279,9 +290,11 @@ func (i *Isolator) conclude(path, outPath string, werr error, stderr *limitedBuf
 			races[k] = race.Race{First: r.First, Second: r.Second,
 				Loc: trace.Loc(r.Loc), Category: race.Category(r.Category)}
 		}
-		res := &core.Result{Races: races, Stats: wr.Stats, Degraded: wr.Degraded}
-		if wr.DegradedReason != "" {
-			res.DegradedReason = errors.New(wr.DegradedReason)
+		res := &core.Result{Races: races, Stats: wr.Stats}
+		if b := wr.Budget; b != nil {
+			// A budget trip, not a poison input: the typed error keeps it
+			// out of the quarantine, like the in-process path.
+			return res, &budget.Error{Stage: b.Stage, Resource: b.Resource, Limit: b.Limit, Used: b.Used}
 		}
 		return res, nil
 	}

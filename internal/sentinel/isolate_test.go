@@ -3,6 +3,7 @@ package sentinel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,6 +138,40 @@ func TestIsolatedAnalysisErrorPreserved(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 1") {
 		t.Fatalf("parse error lost its shape: %v", err)
+	}
+}
+
+// TestIsolatedSubMillisecondDeadline pins that the wall budget crosses
+// the process boundary without truncation: a 999µs deadline must trip
+// in the child (the analysis takes far longer), not arrive as 0, which
+// means unlimited. The trip comes back as the typed budget error with
+// the partial result, like the in-process path.
+func TestIsolatedSubMillisecondDeadline(t *testing.T) {
+	tr := &trace.Trace{}
+	tr.Append(trace.ThreadInit(1))
+	tr.Append(trace.AttachQ(1))
+	tr.Append(trace.LoopOnQ(1))
+	for i := 0; i < 20000; i++ {
+		task := trace.TaskID(fmt.Sprintf("T%d", i))
+		tr.Append(trace.Post(0, task, 1))
+		tr.Append(trace.Begin(1, task))
+		tr.Append(trace.Write(1, trace.Loc(fmt.Sprintf("s%d", i%64))))
+		tr.Append(trace.End(1, task))
+	}
+	var sb strings.Builder
+	if err := trace.Format(&sb, tr); err != nil {
+		t.Fatal(err)
+	}
+	path := writeTrace(t, sb.String())
+	opts := core.DefaultOptions()
+	opts.Budget.Wall = 999 * time.Microsecond
+	res, err := testIsolator().Run(context.Background(), path, opts)
+	be, ok := budget.AsError(err)
+	if !ok || be.Resource != budget.ResourceWallClock {
+		t.Fatalf("got %v, want a wall-clock budget error from the child", err)
+	}
+	if res == nil || res.Stats.Length == 0 {
+		t.Fatalf("budget trip lost the partial result: %+v", res)
 	}
 }
 

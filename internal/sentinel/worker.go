@@ -9,7 +9,6 @@ import (
 	"runtime/debug"
 	"strings"
 	"syscall"
-	"time"
 
 	"droidracer/internal/budget"
 	"droidracer/internal/core"
@@ -31,7 +30,9 @@ const rlimitSlack = 512 << 20
 // runs the analysis, and writes the result file the parent rebuilds a
 // core.Result from. The exit code is part of the protocol: 0 success,
 // 3 analysis error (details in the result file), anything else a death
-// the parent classifies. Returns the process exit code.
+// the parent classifies. A budget trip exits 3 too, with the partial
+// races and the typed budget error in the result file. Returns the
+// process exit code.
 func WorkerMain() int {
 	specJSON := os.Getenv(EnvWorker)
 	if specJSON == "" {
@@ -90,26 +91,23 @@ func WorkerMain() int {
 	}
 
 	opts := core.Options{
-		HB:              spec.HB,
-		Dedup:           spec.Dedup,
-		Validate:        spec.Validate,
-		DropCancelled:   spec.DropCancelled,
-		DegradeOnBudget: spec.DegradeOnBudget,
-		Budget:          budget.Limits{Wall: time.Duration(spec.WallMS) * time.Millisecond},
+		HB:            spec.HB,
+		Dedup:         spec.Dedup,
+		Validate:      spec.Validate,
+		DropCancelled: spec.DropCancelled,
+		Budget:        budget.Limits{Wall: spec.Wall},
 	}
 	res, err := core.AnalyzeContext(context.Background(), tr, opts)
-	if err != nil {
+	code := 0
+	var wr workerResult
+	if be, ok := budget.AsError(err); ok && res != nil {
+		wr.Budget = &workerBudget{Stage: be.Stage, Resource: be.Resource, Limit: be.Limit, Used: be.Used}
+		code = workerExitAnalysisError
+	} else if err != nil {
 		return writeWorkerError(spec.Out, err)
 	}
-
-	wr := workerResult{
-		Degraded:  res.Degraded,
-		Stats:     res.Stats,
-		PeakBytes: peakRSS(),
-	}
-	if res.DegradedReason != nil {
-		wr.DegradedReason = res.DegradedReason.Error()
-	}
+	wr.Stats = res.Stats
+	wr.PeakBytes = peakRSS()
 	wr.Races = make([]workerRace, len(res.Races))
 	for i, r := range res.Races {
 		wr.Races[i] = workerRace{First: r.First, Second: r.Second,
@@ -119,7 +117,7 @@ func WorkerMain() int {
 		fmt.Fprintf(os.Stderr, "sentinel: write result: %v\n", err)
 		return 1
 	}
-	return 0
+	return code
 }
 
 // writeWorkerError records an analysis failure — the input's fault, not

@@ -63,6 +63,11 @@ const (
 	StatusDone        = "done"
 	StatusQuarantined = "quarantined"
 	StatusRejected    = "rejected"
+	// StatusFailed is a job that ended without a full result (an
+	// exhausted budget, a shutdown cancellation). GET reports it with
+	// the reason; a duplicate POST, which may carry another deadline,
+	// runs the job again instead of replaying the failure.
+	StatusFailed = "failed"
 )
 
 // SubmitResponse is the JSON body of every /v1/jobs response, shared
@@ -75,12 +80,12 @@ type SubmitResponse struct {
 	// Coalesced marks a duplicate answered from queued/in-flight work.
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Mode, Races, and Digest replay the journal record of completed
-	// work: analysis mode (full/degraded), race count, and the stable
+	// work: analysis mode (full), race count, and the stable
 	// race-set fingerprint (jobs.ResultDigest).
 	Mode   string `json:"mode,omitempty"`
 	Races  int    `json:"races,omitempty"`
 	Digest string `json:"digest,omitempty"`
-	// Reason explains a rejection or quarantine.
+	// Reason explains a rejection, quarantine or failure.
 	Reason string `json:"reason,omitempty"`
 	// RetryAfterSeconds mirrors the Retry-After header on 429/503.
 	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
@@ -201,10 +206,14 @@ type Config struct {
 
 // jobState is one entry of the idempotency index.
 type jobState struct {
-	status  string // StatusPending, StatusDone, StatusQuarantined
+	status  string // StatusPending, StatusDone, StatusQuarantined, StatusFailed
 	entry   jobs.JobEntry
 	reason  string
 	traceID string // the analyzing trace (entry.TraceID once done)
+	// tight marks a job that runs under a client deadline tighter than
+	// the daemon's own budget. Only such a failure is worth a sweep
+	// retry: under the daemon's budget it would fail again every poll.
+	tight bool
 }
 
 // Server is the HTTP ingestion and admission layer over a job pool.
@@ -342,7 +351,9 @@ func jobName(id string) string { return id + ".trace" }
 
 // Claim marks name as submitted this incarnation, returning false when
 // it is already known (accepted over HTTP, swept earlier, completed, or
-// quarantined). The daemon's spool sweep shares the idempotency index
+// quarantined). A job that failed under a client's tighter deadline
+// counts as unknown, so the sweep retries it under the daemon's own
+// budget. The daemon's spool sweep shares the idempotency index
 // through it so HTTP-accepted files are not double-submitted. It takes
 // the per-key admission lock: a concurrent handleSubmit durably spools
 // the body before registering it in the index, and a sweep that lists
@@ -352,7 +363,7 @@ func (s *Server) Claim(name string) bool {
 	defer s.keys.Lock(name).Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.state[name]; ok {
+	if st, ok := s.state[name]; ok && !(st.status == StatusFailed && st.tight) {
 		return false
 	}
 	s.state[name] = &jobState{status: StatusPending}
@@ -390,7 +401,7 @@ func (s *Server) JobFinished(out report.Outcome) {
 		// Shed or queued placeholders never reach finish; ignore.
 	default:
 		mode := jobs.OutcomeMode(out)
-		if mode == "full" || mode == "degraded" {
+		if mode == "full" {
 			je := jobs.JobEntry{Name: name, Mode: mode, Attempts: out.Attempts, TraceID: out.TraceID}
 			if out.Result != nil {
 				je.Races = len(out.Result.Races)
@@ -400,12 +411,21 @@ func (s *Server) JobFinished(out report.Outcome) {
 			return
 		}
 		// Transient failure (budget exhaustion, shutdown cancellation):
-		// drop the claim so a resubmission — or the next sweep — retries.
-		delete(s.state, name)
+		// answer polls honestly, but let a resubmission — or the next
+		// sweep — run it again (see lookup and Claim).
+		reason := mode
+		if out.Err != nil {
+			reason = out.Err.Error()
+		}
+		tight := false
+		if st, ok := s.state[name]; ok {
+			tight = st.tight
+		}
+		s.state[name] = &jobState{status: StatusFailed, reason: reason, traceID: out.TraceID, tight: tight}
 	}
 }
 
-// lookup answers a duplicate submission from the idempotency index.
+// lookup answers a job's status from the idempotency index.
 func (s *Server) lookup(name string) (*SubmitResponse, int, bool) {
 	s.mu.Lock()
 	st, ok := s.state[name]
@@ -415,6 +435,9 @@ func (s *Server) lookup(name string) (*SubmitResponse, int, bool) {
 	}
 	id := strings.TrimSuffix(name, ".trace")
 	switch st.status {
+	case StatusFailed:
+		return &SubmitResponse{Job: id, Status: StatusFailed, Reason: st.reason, TraceID: st.traceID},
+			http.StatusOK, true
 	case StatusDone:
 		return &SubmitResponse{
 			Job: id, Status: StatusDone,
@@ -428,6 +451,17 @@ func (s *Server) lookup(name string) (*SubmitResponse, int, bool) {
 		return &SubmitResponse{Job: id, Status: StatusPending, Coalesced: true, TraceID: st.traceID},
 			http.StatusAccepted, true
 	}
+}
+
+// replay answers a duplicate submission from the index. A failed job is
+// not replayed: the resubmission, which may carry another deadline, runs
+// it again.
+func (s *Server) replay(name string) (*SubmitResponse, int, bool) {
+	resp, code, ok := s.lookup(name)
+	if !ok || resp.Status == StatusFailed {
+		return nil, 0, false
+	}
+	return resp, code, true
 }
 
 // codeWriter captures the response status for metrics.
@@ -602,7 +636,7 @@ func (s *Server) admitSubmit(w http.ResponseWriter, r *http.Request, rec *obs.Tr
 
 	// Fast path: duplicates answered from the index without touching
 	// the spool.
-	if resp, code, ok := s.lookup(name); ok {
+	if resp, code, ok := s.replay(name); ok {
 		s.countReplay(resp)
 		respond(w, code, resp)
 		return false
@@ -611,7 +645,7 @@ func (s *Server) admitSubmit(w http.ResponseWriter, r *http.Request, rec *obs.Tr
 	// Admission critical section per idempotency key: two concurrent
 	// submissions of the same body must not both spool and submit.
 	defer s.keys.Lock(name).Unlock()
-	if resp, code, ok := s.lookup(name); ok {
+	if resp, code, ok := s.replay(name); ok {
 		s.countReplay(resp)
 		respond(w, code, resp)
 		return false
@@ -621,7 +655,7 @@ func (s *Server) admitSubmit(w http.ResponseWriter, r *http.Request, rec *obs.Tr
 	if _, open := s.cfg.Pool.BreakerOpen(path); open {
 		// The breaker never re-closes within one incarnation: full-
 		// fidelity service for this input is gone until a restart, so
-		// refuse instead of burning a worker on the degraded fallback.
+		// refuse instead of queueing a job that would fail at once.
 		s.reject(w, http.StatusServiceUnavailable, RejectBreakerOpen, s.cfg.BreakerRetryAfter)
 		return false
 	}
@@ -675,7 +709,8 @@ func (s *Server) admitSubmit(w http.ResponseWriter, r *http.Request, rec *obs.Tr
 	job.TraceParent = sp.ID()
 
 	s.mu.Lock()
-	s.state[name] = &jobState{status: StatusPending, traceID: rec.TraceID()}
+	s.state[name] = &jobState{status: StatusPending, traceID: rec.TraceID(),
+		tight: opts.Budget.Wall != s.cfg.Analyze.Budget.Wall}
 	s.mu.Unlock()
 	if err := s.cfg.Pool.Submit(job); err != nil {
 		s.Release(name)
@@ -937,8 +972,9 @@ func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
 		_, known := s.state[name]
 		s.mu.Unlock()
 		// A known key was acknowledged (HTTP accept), already swept, or
-		// finished — its record legitimately belongs to this backend, so
-		// the conservative reclaim list leaves it alone.
+		// finished (failed included) — its record legitimately belongs
+		// to this backend, so the conservative reclaim list leaves it
+		// alone.
 		if known {
 			s.cfg.Events.Info("request.reclaim-skipped", "job", strings.TrimSuffix(name, ".trace"))
 		} else if err := os.Remove(filepath.Join(s.cfg.Spool, name)); err == nil {

@@ -257,7 +257,6 @@ type engine struct {
 	fullV  []vc.VC
 
 	stats Stats
-	trip  error
 }
 
 func newEngine(info *trace.Info, opts Options, ck *budget.Checker) *engine {
@@ -302,9 +301,6 @@ func (e *engine) replay() error {
 		e.stats.Ops++
 		if err := e.step(i, op); err != nil {
 			return err
-		}
-		if e.trip != nil {
-			return e.trip
 		}
 	}
 	return nil
@@ -422,9 +418,6 @@ func (e *engine) mkCtx(st, full vc.VC) *ctx {
 	id := e.nextCtx
 	e.nextCtx++
 	e.stats.Contexts++
-	if err := e.ck.Nodes(int(e.nextCtx)); err != nil && e.trip == nil {
-		e.trip = err
-	}
 	return &ctx{id: id, st: st, full: full}
 }
 

@@ -228,41 +228,47 @@ func BenchmarkSentinelOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamEngine pins the graph↔stream crossover: both engines
-// analyze the closure-heaviest Table 2 trace (K-9 Mail), and the
-// streaming engine alone analyzes a generated million-op
+// BenchmarkStreamEngine pins the graph↔stream crossover: Analyze and
+// the graph oracle (graphRaces) analyze the closure-heaviest Table 2
+// trace (K-9 Mail), and Analyze alone analyzes a generated million-op
 // alternating-thread trace whose graph closure is out of admission
 // range under any cost ceiling (hostileTrace, the memory-chaos bomb
 // shape). `benchtables -crossover` renders the table appended to the
 // bench artifact from these series; the regression gate holds both
 // engines to the committed baseline.
 func BenchmarkStreamEngine(b *testing.B) {
-	run := func(b *testing.B, tr *trace.Trace, engine string) {
+	run := func(b *testing.B, tr *trace.Trace, analyze func(*trace.Trace, droidracer.Options) ([]droidracer.Race, error)) {
 		opts := droidracer.DefaultOptions()
-		opts.Engine = engine
 		// Engine cost only: the semantics replay is engine-independent.
 		opts.Validate = false
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := droidracer.Analyze(tr, opts)
+			races, err := analyze(tr, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(res.Races)), "races")
+			b.ReportMetric(float64(len(races)), "races")
 		}
+	}
+	stream := func(tr *trace.Trace, opts droidracer.Options) ([]droidracer.Race, error) {
+		res, err := droidracer.Analyze(tr, opts)
+		if err != nil {
+			return nil, err
+		}
+		return res.Races, nil
 	}
 	b.Run("K-9 Mail", func(b *testing.B) {
 		tr := representative(b, "K-9 Mail").Trace
-		b.Run("graph", func(b *testing.B) { run(b, tr, droidracer.EngineGraph) })
-		b.Run("stream", func(b *testing.B) { run(b, tr, droidracer.EngineStream) })
+		b.Run("graph", func(b *testing.B) { run(b, tr, graphRaces) })
+		b.Run("stream", func(b *testing.B) { run(b, tr, stream) })
 	})
 	b.Run("bomb-1M", func(b *testing.B) {
 		tr := hostileTrace(b, 1_000_000)
 		// No graph column: admission rejects this shape under the graph
 		// cost model (TestStreamAdmitsHostileTrace), so the stream series
 		// is the whole point.
-		b.Run("stream", func(b *testing.B) { run(b, tr, droidracer.EngineStream) })
+		b.Run("stream", func(b *testing.B) { run(b, tr, stream) })
 	})
 }
 

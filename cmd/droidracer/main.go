@@ -91,11 +91,7 @@ func main() {
 			continue
 		}
 		if *verbose {
-			mode := ""
-			if result.Degraded {
-				mode = " [degraded]"
-			}
-			fmt.Printf("  test %-40s %6d ops, %d race(s)%s\n", test.Name(), test.Trace.Len(), len(result.Races), mode)
+			fmt.Printf("  test %-40s %6d ops, %d race(s)\n", test.Name(), test.Trace.Len(), len(result.Races))
 		}
 		for _, r := range result.Races {
 			kk := key{string(r.Loc), r.Category}

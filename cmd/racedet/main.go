@@ -4,9 +4,8 @@
 //
 // Usage:
 //
-//	racedet [-engine stream|graph] [-all] [-stats] [-naive] [-no-enable]
-//	        [-no-fifo] [-explain] [-dot FILE] [-minimize] [-deadline 5s]
-//	        [-max-nodes N] [trace.txt]
+//	racedet [-all] [-stats] [-naive] [-no-enable] [-no-fifo] [-explain]
+//	        [-dot FILE] [-minimize] [-deadline 5s] [trace.txt]
 //	racedet -campaign "Paper Music Player" -state DIR [-k N] [-seed N]
 //	racedet -resume DIR
 //	racedet -submit URL [-deadline 30s] [-client-id ID] [-trace-out FILE] [trace.txt]
@@ -16,17 +15,13 @@
 //	racedet -fsck STATEDIR [-spool DIR] [-repair]
 //
 // With no file argument the trace is read from standard input. The
-// analysis runs the streaming engine unless -engine=graph is given or a
-// flag that needs the happens-before graph is: -dot, -explain,
-// -minimize and -max-nodes select the graph engine, and combining one
-// with an explicit -engine=stream is a usage error. -stats works under
-// either engine and prints the graph size only when there is a graph.
-// Under -deadline the analysis is budgeted: when the deadline passes it
-// exits 1 with the partial (sound) races printed and the budget error
-// on stderr. -max-nodes caps the happens-before graph: a larger graph
-// is abandoned and the trace replayed on the streaming engine, which
-// prints the same races without the graph (the result is marked
-// degraded on stderr).
+// analysis is one streaming vector-clock replay. -explain and -minimize
+// replay the trace again with every operation's clocks recorded and
+// query the relation from them. -dot builds the paper's happens-before
+// graph (quadratic memory) only to write it out. Under -deadline the
+// analysis is budgeted: when the deadline passes it exits 1 with the
+// partial (sound) races printed and the budget error on stderr; the
+// -explain, -minimize and -dot work that follows is not budgeted.
 //
 // Submit mode (-submit URL) posts the trace to a racedetd ingestion
 // endpoint instead of analyzing it locally: retryable refusals (429,
@@ -79,6 +74,7 @@ import (
 	"droidracer/internal/core"
 	"droidracer/internal/flood"
 	"droidracer/internal/fsck"
+	"droidracer/internal/hb"
 	"droidracer/internal/jobs"
 	"droidracer/internal/obs"
 	"droidracer/internal/report"
@@ -86,9 +82,8 @@ import (
 )
 
 func main() {
-	engine := flag.String("engine", "", "analysis engine: stream (default; vector-clock replay, no graph, linear memory) or graph (the paper's closure); -dot, -explain, -minimize and -max-nodes select graph")
 	all := flag.Bool("all", false, "report every racing pair instead of one per location and category")
-	stats := flag.Bool("stats", false, "print trace statistics and graph size")
+	stats := flag.Bool("stats", false, "print trace statistics")
 	naive := flag.Bool("naive", false, "use the naive combination of multithreaded and event rules (ablation)")
 	noEnable := flag.Bool("no-enable", false, "ignore enable operations (ablation)")
 	noFIFO := flag.Bool("no-fifo", false, "drop the FIFO rule (ablation)")
@@ -97,7 +92,6 @@ func main() {
 	dotFile := flag.String("dot", "", "write the happens-before graph (transitive reduction) as Graphviz DOT to this file")
 	minimizeFlag := flag.Bool("minimize", false, "print a minimized witness trace for the first reported race")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the analysis (0 = unlimited)")
-	maxNodes := flag.Int("max-nodes", 0, "cap on happens-before graph nodes; a larger graph is abandoned and the stream engine reports the races (0 = unlimited)")
 	phaseTimings := flag.Bool("phase-timings", false, "append a per-phase wall-clock timing table to the report")
 	submitURL := flag.String("submit", "", "submit the trace to this racedetd ingestion URL instead of analyzing locally")
 	clientID := flag.String("client-id", "", "rate-limit principal sent as X-Client-ID with -submit/-flood")
@@ -137,25 +131,12 @@ func main() {
 		return
 	}
 	if *submitURL != "" {
-		if *engine != "" {
-			usage(fmt.Errorf("-engine does not apply to -submit: the daemon's own -engine decides"))
-		}
 		runSubmit(*submitURL, *clientID, *traceOut, *deadline)
 		return
 	}
 	if *floodURL != "" {
 		runFlood(*floodURL, *clientID, *floodApps, *floodRequests, *floodCorpus, *floodRPS, *floodDup, *seed)
 		return
-	}
-
-	eng, err := selectEngine(*engine, []graphFlag{
-		{"-dot", *dotFile != ""},
-		{"-explain", *explainFlag},
-		{"-minimize", *minimizeFlag},
-		{"-max-nodes", *maxNodes > 0},
-	})
-	if err != nil {
-		usage(err)
 	}
 
 	var in io.Reader = os.Stdin
@@ -175,13 +156,12 @@ func main() {
 	parseDur := time.Since(parseStart)
 
 	opts := droidracer.DefaultOptions()
-	opts.Engine = eng
 	opts.Dedup = !*all
 	opts.Validate = !*noValidate
 	opts.HB.Naive = *naive
 	opts.HB.EnableEdges = !*noEnable
 	opts.HB.FIFO = !*noFIFO
-	opts.Budget = droidracer.Budget{Wall: *deadline, MaxGraphNodes: *maxNodes}
+	opts.Budget = droidracer.Budget{Wall: *deadline}
 
 	partial := false
 	res, err := droidracer.AnalyzeContext(context.Background(), tr, opts)
@@ -193,36 +173,25 @@ func main() {
 		partial = true
 		fmt.Fprintf(os.Stderr, "racedet: %v; reporting partial results\n", be)
 	}
-	if res.Degraded {
-		fmt.Fprintf(os.Stderr, "racedet: graph abandoned, races from the stream engine (%v)\n", res.DegradedReason)
-	}
 	if *stats {
 		s := res.Stats
 		fmt.Printf("trace: %d ops, %d fields, %d threads w/o queues, %d with, %d async tasks\n",
 			s.Length, s.Fields, s.ThreadsNoQ, s.ThreadsQ, s.AsyncTasks)
-		if res.Graph != nil {
-			fmt.Printf("graph: %d nodes (%.1f%% of trace length)\n",
-				res.Graph.NodeCount(), 100*float64(res.Graph.NodeCount())/float64(s.Length))
-		}
 	}
 	if *dotFile != "" {
-		if res.Graph == nil {
-			fatal(fmt.Errorf("-dot: no happens-before graph (degraded result)"))
-		}
-		f, err := os.Create(*dotFile)
-		if err != nil {
+		if err := writeDOT(*dotFile, res, opts.HB); err != nil {
 			fatal(err)
 		}
-		if err := res.Graph.WriteDOT(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+	}
+	var rel droidracer.Relation
+	if *explainFlag && len(res.Races) > 0 {
+		if rel, err = droidracer.HappensBefore(res, opts.HB); err != nil {
 			fatal(err)
 		}
 	}
 	for _, r := range res.Races {
-		if *explainFlag && res.Graph != nil {
-			fmt.Print(droidracer.Explain(res.Graph, r))
+		if rel != nil {
+			fmt.Print(droidracer.Explain(rel, r))
 			continue
 		}
 		first, second := tr.Op(r.First), tr.Op(r.Second)
@@ -239,10 +208,7 @@ func main() {
 		return
 	}
 	fmt.Printf("%d race report(s)\n", len(res.Races))
-	if *minimizeFlag && res.Graph == nil {
-		fmt.Fprintln(os.Stderr, "racedet: -minimize needs the happens-before graph, which a degraded result does not have")
-	}
-	if *minimizeFlag && res.Graph != nil {
+	if *minimizeFlag {
 		min, err := droidracer.Minimize(res.Trace, res.Races[0], opts.HB)
 		if err != nil {
 			fatal(err)
@@ -491,47 +457,24 @@ func plural(n int, one, many string) string {
 	return many
 }
 
-// graphFlag is one command-line option and whether it is in effect.
-type graphFlag struct {
-	name string
-	on   bool
-}
-
-// selectEngine resolves the analysis engine from the -engine value and
-// the graph-only options in effect (outputs read from the happens-before
-// graph, or budgets on its size). With -engine unset, any such option
-// selects the graph engine; with an explicit stream it is a usage error,
-// so no option is ever silently ignored.
-func selectEngine(engine string, graphOnly []graphFlag) (string, error) {
-	eng, err := core.NormalizeEngine(engine)
+// writeDOT builds the happens-before graph of res's annotated trace
+// under cfg and writes its transitive reduction to path.
+func writeDOT(path string, res *droidracer.Result, cfg droidracer.HBConfig) error {
+	if res.Info == nil {
+		return fmt.Errorf("-dot: the budget ran out before the trace was annotated")
+	}
+	f, err := os.Create(path)
 	if err != nil {
-		return "", err
+		return err
 	}
-	var need []string
-	for _, f := range graphOnly {
-		if f.on {
-			need = append(need, f.name)
-		}
+	if err := hb.Build(res.Info, cfg).WriteDOT(f); err != nil {
+		f.Close()
+		return err
 	}
-	switch {
-	case len(need) == 0 || eng == core.EngineGraph:
-		return eng, nil
-	case engine == "":
-		return core.EngineGraph, nil
-	default:
-		return "", fmt.Errorf("%s need%s the happens-before graph, which -engine=%s does not build",
-			strings.Join(need, ", "), plural(len(need), "s", ""), eng)
-	}
+	return f.Close()
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "racedet:", err)
 	os.Exit(1)
-}
-
-// usage reports a bad combination of flags and exits 2, like the flag
-// package does for an unknown one.
-func usage(err error) {
-	fmt.Fprintln(os.Stderr, "racedet:", err)
-	os.Exit(2)
 }

@@ -16,8 +16,7 @@
 //	         [-worker-mem BYTES] [-worker-wall 2m] [-isolate]
 //
 // Every job runs the streaming vector-clock engine, which reports the
-// graph closure's races in linear memory while clocks stay narrow; the
-// graph engine (racedet -engine graph) is the offline explainer.
+// graph closure's races in linear memory while clocks stay narrow.
 //
 // Resource governance (see internal/sentinel and DESIGN.md §16):
 // -cost-hard refuses submissions whose estimated analysis footprint no

@@ -35,6 +35,7 @@ package droidracer
 
 import (
 	"context"
+	"errors"
 	"io"
 
 	"droidracer/internal/android"
@@ -46,6 +47,7 @@ import (
 	"droidracer/internal/minimize"
 	"droidracer/internal/race"
 	"droidracer/internal/semantics"
+	"droidracer/internal/stream"
 	"droidracer/internal/trace"
 )
 
@@ -84,8 +86,7 @@ type (
 // Robustness types of the hardened pipeline.
 type (
 	// Budget bounds one analysis or exploration (wall-clock deadline,
-	// graph/closure caps, explorer sequence cap). The zero value means
-	// unlimited.
+	// explorer sequence cap). The zero value means unlimited.
 	Budget = budget.Limits
 	// BudgetError is the structured budget-exhaustion/cancellation error;
 	// match with errors.As. Its Canceled method distinguishes explicit
@@ -161,21 +162,11 @@ type (
 	Verification = explorer.Verification
 )
 
-// Analysis engine selectors for Options.Engine. Both engines report
-// identical race sets; EngineStream, the default, replays the trace
-// once with vector clocks in linear memory, EngineGraph materializes
-// the happens-before graph (required by Explain and DOT export of a
-// Result's Graph).
-const (
-	EngineGraph  = core.EngineGraph
-	EngineStream = core.EngineStream
-)
-
 // DefaultOptions returns the analysis configuration DroidRacer uses: the
 // full happens-before relation, semantic validation, cancellation
-// pruning, and per-(location, category) deduplication. Its empty Engine
-// runs the streaming engine, whose Result has no Graph; set Engine to
-// EngineGraph to use Explain or the graph's DOT output.
+// pruning, and per-(location, category) deduplication. Analysis replays
+// the trace once with vector clocks in linear memory; the STOnly
+// ablation is not supported by Analyze.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // DefaultHBConfig returns the paper's full happens-before rule set.
@@ -188,10 +179,8 @@ func Analyze(tr *Trace, opts Options) (*Result, error) { return core.Analyze(tr,
 
 // AnalyzeContext is Analyze under a context and opts.Budget: the
 // pipeline polls both in its hot loops and recovers panics into
-// *PanicError. A graph-engine run that outgrows MaxGraphNodes or
-// MaxClosureEdges is finished by the streaming engine, with the same
-// races and the Result marked Degraded (no Graph). Any other exhausted
-// budget returns the partial Result built so far with a *BudgetError.
+// *PanicError. An exhausted budget returns the partial Result built so
+// far, whose races are a sound subset, with a *BudgetError.
 func AnalyzeContext(ctx context.Context, tr *Trace, opts Options) (*Result, error) {
 	return core.AnalyzeContext(ctx, tr, opts)
 }
@@ -272,13 +261,28 @@ func ValidateTrace(tr *Trace) (int, error) { return semantics.ValidateInferred(t
 // near misses (rules that almost ordered the pair).
 type Explanation = explain.Explanation
 
-// Explain builds a debugging explanation for a detected race over the
-// analysis result's graph. g must be non-nil: only a non-degraded result
-// of EngineGraph carries one (the streaming engine builds no graph).
-func Explain(g *HBGraph, r Race) Explanation { return explain.Explain(g, r) }
+// Relation is the happens-before relation of an analyzed trace, as
+// Explain queries it.
+type Relation = explain.Relation
 
-// HBGraph is the computed happens-before graph of an analysis.
-type HBGraph = hb.Graph
+// HappensBefore replays res's annotated trace under cfg (the HB field of
+// the options res was analyzed with) and returns its happens-before
+// relation, with every operation's vector clocks recorded. The replay
+// costs memory proportional to the operations times the clock width.
+func HappensBefore(res *Result, cfg HBConfig) (Relation, error) {
+	if res.Info == nil {
+		return nil, errors.New("droidracer: the result has no annotated trace")
+	}
+	out, err := stream.Run(res.Info, stream.Options{HB: cfg, RecordClocks: true}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Explain builds a debugging explanation for a detected race over the
+// relation HappensBefore returns.
+func Explain(rel Relation, r Race) Explanation { return explain.Explain(rel, r) }
 
 // MinimizedRace is the result of trace minimization: the smallest trace
 // the greedy reduction found that still exhibits the race.

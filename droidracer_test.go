@@ -71,6 +71,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if !found {
 		t.Fatalf("expected multithreaded race on Counter.value; got %v", result.Races)
 	}
+	rel, err := droidracer.HappensBefore(result, droidracer.DefaultHBConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := droidracer.Explain(rel, result.Races[0]).String(); !strings.Contains(e, "why:") {
+		t.Fatalf("explanation without a reason:\n%s", e)
+	}
 }
 
 func TestPublicAPIExplore(t *testing.T) {

@@ -1,7 +1,8 @@
-// Engine-differential gates: the streaming vector-clock engine must
-// report exactly the races the graph engine reports — same locations,
-// same access pairs, same categories — on every Table 2 application
-// trace and on a generated random-trace corpus. CI runs these as the
+// Engine-differential gates: the streaming vector-clock engine behind
+// Analyze must report exactly the races the graph engine — the paper's
+// closure, kept as the test oracle — reports: same locations, same
+// access pairs, same categories, on every Table 2 application trace and
+// on a generated random-trace corpus. CI runs these as the
 // engine-differential job and uploads any divergent trace as an
 // artifact; FuzzStreamVsGraph extends the same property to adversarial
 // inputs in the fuzz smoke step.
@@ -18,25 +19,44 @@ import (
 	"droidracer"
 	"droidracer/internal/apps"
 	"droidracer/internal/explorer"
+	"droidracer/internal/hb"
 	"droidracer/internal/paper"
+	"droidracer/internal/race"
+	"droidracer/internal/semantics"
 	"droidracer/internal/sentinel"
 	"droidracer/internal/trace"
 )
 
-// engineOpts returns the default analysis options pinned to one engine.
-func engineOpts(engine string) droidracer.Options {
-	opts := droidracer.DefaultOptions()
-	opts.Engine = engine
-	return opts
+// graphRaces is the graph-engine oracle: the cancellation pruning,
+// validation and annotation Analyze performs, then the paper's
+// happens-before closure and exhaustive pair scan.
+func graphRaces(tr *droidracer.Trace, opts droidracer.Options) ([]droidracer.Race, error) {
+	if opts.DropCancelled {
+		tr = tr.WithoutCancelled()
+	}
+	if opts.Validate {
+		if i, err := semantics.ValidateInferred(tr); err != nil {
+			return nil, fmt.Errorf("trace is not a valid execution (op %d): %w", i, err)
+		}
+	}
+	info, err := trace.Analyze(tr)
+	if err != nil {
+		return nil, err
+	}
+	d := race.NewDetector(hb.Build(info, opts.HB))
+	if opts.Dedup {
+		return d.DetectDeduped(), nil
+	}
+	return d.Detect(), nil
 }
 
-// diffEngines analyzes tr under both engines and reports the two race
-// sets plus whether they diverge. Validation runs once (it is engine
-// independent); a trace both engines reject is not a divergence.
+// diffEngines analyzes tr with Analyze and with the graph oracle and
+// reports the two race sets plus whether they diverge. A trace both
+// reject is not a divergence.
 func diffEngines(t *testing.T, tr *droidracer.Trace) (graph, stream []droidracer.Race, diverged bool) {
 	t.Helper()
-	gres, gerr := droidracer.Analyze(tr, engineOpts(droidracer.EngineGraph))
-	sres, serr := droidracer.Analyze(tr, engineOpts(droidracer.EngineStream))
+	graph, gerr := graphRaces(tr, droidracer.DefaultOptions())
+	sres, serr := droidracer.Analyze(tr, droidracer.DefaultOptions())
 	if (gerr == nil) != (serr == nil) {
 		t.Errorf("engines disagree on acceptance: graph err=%v, stream err=%v", gerr, serr)
 		return nil, nil, true
@@ -44,7 +64,7 @@ func diffEngines(t *testing.T, tr *droidracer.Trace) (graph, stream []droidracer
 	if gerr != nil {
 		return nil, nil, false
 	}
-	graph, stream = gres.Races, sres.Races
+	stream = sres.Races
 	if len(graph) == 0 && len(stream) == 0 {
 		return graph, stream, false
 	}
@@ -53,8 +73,8 @@ func diffEngines(t *testing.T, tr *droidracer.Trace) (graph, stream []droidracer
 
 // TestEngineEquivalence is the acceptance gate from the paper
 // reproduction: on every Table 2 application's representative trace,
-// -engine=stream reports the identical deduplicated race set the graph
-// engine reports.
+// Analyze reports the identical deduplicated race set the graph engine
+// reports.
 func TestEngineEquivalence(t *testing.T) {
 	for _, app := range apps.All() {
 		name := app.Name()
@@ -152,8 +172,7 @@ func hostileTrace(tb testing.TB, n int) *droidracer.Trace {
 // TestStreamAdmitsHostileTrace is the cost-governance acceptance gate:
 // the alternating-thread bomb, whose O(nodes²) closure no ceiling
 // admits, classifies as normal work under the streaming cost model —
-// and the stream engine actually analyzes it, finding its races,
-// without building a graph.
+// and Analyze actually analyzes it, finding its races.
 func TestStreamAdmitsHostileTrace(t *testing.T) {
 	n := 1_000_000
 	if testing.Short() {
@@ -176,17 +195,11 @@ func TestStreamAdmitsHostileTrace(t *testing.T) {
 		t.Errorf("stream cost model should admit the bomb (est %d bytes), classified %s", est.StreamBytes, got)
 	}
 
-	opts := engineOpts(droidracer.EngineStream)
+	opts := droidracer.DefaultOptions()
 	opts.Validate = false // the replay semantics check is O(n) but not the point here
 	res, err := droidracer.Analyze(tr, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Graph != nil {
-		t.Error("stream result should carry no graph")
-	}
-	if res.Engine != droidracer.EngineStream {
-		t.Errorf("result engine = %q, want %q", res.Engine, droidracer.EngineStream)
 	}
 	found := false
 	for _, r := range res.Races {
@@ -199,9 +212,9 @@ func TestStreamAdmitsHostileTrace(t *testing.T) {
 	}
 }
 
-// FuzzStreamVsGraph fuzzes trace text through both engines: any input
-// both accept must yield identical race sets, and acceptance itself
-// must agree. The seed corpus (testdata/fuzz/FuzzStreamVsGraph) holds
+// FuzzStreamVsGraph fuzzes trace text through Analyze and the graph
+// oracle: any input both accept must yield identical race sets, and
+// acceptance itself must agree. The seed corpus (testdata/fuzz/FuzzStreamVsGraph) holds
 // the paper figures and an async-rule sampler.
 func FuzzStreamVsGraph(f *testing.F) {
 	for _, tr := range []*droidracer.Trace{paper.Figure3(), paper.Figure4()} {
@@ -219,17 +232,17 @@ func FuzzStreamVsGraph(f *testing.F) {
 		if err != nil {
 			return
 		}
-		gres, gerr := droidracer.Analyze(tr, engineOpts(droidracer.EngineGraph))
-		sres, serr := droidracer.Analyze(tr, engineOpts(droidracer.EngineStream))
+		graph, gerr := graphRaces(tr, droidracer.DefaultOptions())
+		sres, serr := droidracer.Analyze(tr, droidracer.DefaultOptions())
 		if (gerr == nil) != (serr == nil) {
 			t.Fatalf("engines disagree on acceptance: graph err=%v, stream err=%v", gerr, serr)
 		}
 		if gerr != nil {
 			return
 		}
-		if !reflect.DeepEqual(gres.Races, sres.Races) &&
-			(len(gres.Races) > 0 || len(sres.Races) > 0) {
-			t.Fatalf("race sets diverge:\n graph:  %v\n stream: %v", gres.Races, sres.Races)
+		if !reflect.DeepEqual(graph, sres.Races) &&
+			(len(graph) > 0 || len(sres.Races) > 0) {
+			t.Fatalf("race sets diverge:\n graph:  %v\n stream: %v", graph, sres.Races)
 		}
 	})
 }

@@ -77,8 +77,8 @@ func (s *Set) CopyFrom(t *Set) {
 }
 
 // UnionCount returns |s ∪ t| without materializing the union — the
-// allocation-free form of s.Clone().UnionWith(t).Count() that
-// Graph.EdgeCount needs on every metrics publish.
+// allocation-free form of s.Clone().UnionWith(t).Count() that the
+// happens-before graph counts its st-or-mt pairs with.
 // It panics if the sets have different capacities.
 func (s *Set) UnionCount(t *Set) int {
 	if s.n != t.n {

@@ -1,14 +1,12 @@
 // Package budget provides the resource-budget and fault-isolation
 // primitives of the hardened analysis pipeline: wall-clock deadlines,
-// caps on happens-before graph size and closure work, cooperative
-// cancellation via context.Context, and panic isolation at pipeline
-// boundaries.
+// a cap on explorer sequences, cooperative cancellation via
+// context.Context, and panic isolation at pipeline boundaries.
 //
 // The paper's detector ran "seconds to hours" per trace with graphs up
 // to 20 MB (§6); a service analyzing adversarial traces must never hang
-// or OOM on one bad input. Every hot loop of the pipeline (the hb
-// fixpoint, the race scan, the stream replay, the explorer DFS) polls a
-// Checker, which turns an exhausted budget into a structured *Error
+// or OOM on one bad input. Every hot loop of the pipeline (the stream
+// replay, the explorer DFS) polls a Checker, which turns an exhausted budget into a structured *Error
 // instead of an unbounded computation. Callers surface it with the
 // partial results produced so far (see core.AnalyzeContext).
 package budget
@@ -27,14 +25,6 @@ import (
 type Limits struct {
 	// Wall is the wall-clock budget for the whole unit of work.
 	Wall time.Duration
-	// MaxGraphNodes caps the happens-before graph size after node
-	// merging. The graph's reachability bitsets cost O(nodes²) bits, so
-	// this is the graph engine's OOM guard; the streaming engine has no
-	// graph and ignores it.
-	MaxGraphNodes int
-	// MaxClosureEdges caps the number of ≼ pairs the fixpoint may
-	// record (st plus mt).
-	MaxClosureEdges int
 	// MaxSequences caps the number of event-sequence prefixes the UI
 	// explorer may execute.
 	MaxSequences int
@@ -42,7 +32,7 @@ type Limits struct {
 
 // IsZero reports whether no limit is set.
 func (l Limits) IsZero() bool {
-	return l.Wall == 0 && l.MaxGraphNodes == 0 && l.MaxClosureEdges == 0 && l.MaxSequences == 0
+	return l.Wall == 0 && l.MaxSequences == 0
 }
 
 // Resource names the budget dimension an Error reports against.
@@ -50,11 +40,9 @@ type Resource string
 
 // Budgeted resources.
 const (
-	ResourceWallClock    Resource = "wall-clock"
-	ResourceGraphNodes   Resource = "graph-nodes"
-	ResourceClosureEdges Resource = "closure-edges"
-	ResourceSequences    Resource = "sequences"
-	ResourceContext      Resource = "context"
+	ResourceWallClock Resource = "wall-clock"
+	ResourceSequences Resource = "sequences"
+	ResourceContext   Resource = "context"
 )
 
 // Error is the structured budget/cancellation error of the pipeline. It
@@ -64,7 +52,7 @@ const (
 // stage that produced it (see core.AnalyzeContext, explorer
 // ExploreContext).
 type Error struct {
-	// Stage is the pipeline stage that stopped, e.g. "happens-before".
+	// Stage is the pipeline stage that stopped, e.g. "stream-replay".
 	Stage string
 	// Resource is the exhausted budget dimension.
 	Resource Resource
@@ -152,7 +140,7 @@ const checkInterval = 256
 
 // Checker is the cooperative budget monitor one unit of work threads
 // through its stages. A nil *Checker is valid and never trips, so
-// unbudgeted call paths (hb.Build, race.Detect) pay nothing.
+// unbudgeted call paths (an analysis without a deadline) pay nothing.
 //
 // A Checker is not safe for concurrent use; each unit of work owns one.
 type Checker struct {
@@ -257,24 +245,6 @@ func (c *Checker) CheckNow() error {
 		return &Error{Stage: c.stage, Resource: ResourceWallClock}
 	}
 	return nil
-}
-
-// Nodes enforces MaxGraphNodes against the given node count.
-func (c *Checker) Nodes(used int) error {
-	if c == nil || c.limits.MaxGraphNodes <= 0 || used <= c.limits.MaxGraphNodes {
-		return nil
-	}
-	return &Error{Stage: c.stage, Resource: ResourceGraphNodes,
-		Limit: int64(c.limits.MaxGraphNodes), Used: int64(used)}
-}
-
-// Edges enforces MaxClosureEdges against the given edge count.
-func (c *Checker) Edges(used int) error {
-	if c == nil || c.limits.MaxClosureEdges <= 0 || used <= c.limits.MaxClosureEdges {
-		return nil
-	}
-	return &Error{Stage: c.stage, Resource: ResourceClosureEdges,
-		Limit: int64(c.limits.MaxClosureEdges), Used: int64(used)}
 }
 
 // Sequences enforces MaxSequences against the given prefix count.

@@ -20,12 +20,6 @@ func TestNilCheckerNeverTrips(t *testing.T) {
 	if err := c.CheckNow(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Nodes(1 << 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Edges(1 << 30); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.Sequences(1 << 30); err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +32,8 @@ func TestNewCheckerUnlimitedIsNil(t *testing.T) {
 	if c := NewChecker(nil, Limits{}); c != nil {
 		t.Fatal("nil context with zero limits should yield a nil checker")
 	}
-	if c := NewChecker(context.Background(), Limits{MaxGraphNodes: 5}); c == nil {
-		t.Fatal("node limit should yield an active checker")
+	if c := NewChecker(context.Background(), Limits{MaxSequences: 5}); c == nil {
+		t.Fatal("sequence limit should yield an active checker")
 	}
 }
 
@@ -137,25 +131,13 @@ func TestContextDeadlineCountsAsWallClock(t *testing.T) {
 }
 
 func TestCountableResources(t *testing.T) {
-	c := NewChecker(context.Background(), Limits{MaxGraphNodes: 10, MaxClosureEdges: 20, MaxSequences: 3})
+	c := NewChecker(context.Background(), Limits{MaxSequences: 3})
 	c.SetStage("s")
-	if err := c.Nodes(10); err != nil {
-		t.Fatal(err)
-	}
-	be, _ := AsError(c.Nodes(11))
-	if be == nil || be.Resource != ResourceGraphNodes || be.Limit != 10 || be.Used != 11 {
-		t.Fatalf("got %+v", be)
-	}
-	if err := c.Edges(20); err != nil {
-		t.Fatal(err)
-	}
-	if be, _ = AsError(c.Edges(21)); be == nil || be.Resource != ResourceClosureEdges {
-		t.Fatalf("got %+v", be)
-	}
 	if err := c.Sequences(3); err != nil {
 		t.Fatal(err)
 	}
-	if be, _ = AsError(c.Sequences(4)); be == nil || be.Resource != ResourceSequences {
+	be, _ := AsError(c.Sequences(4))
+	if be == nil || be.Resource != ResourceSequences || be.Limit != 3 || be.Used != 4 {
 		t.Fatalf("got %+v", be)
 	}
 }

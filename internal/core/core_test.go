@@ -12,9 +12,7 @@ import (
 )
 
 func TestAnalyzeFigure4(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Engine = EngineGraph
-	res, err := Analyze(paper.Figure4(), opts)
+	res, err := Analyze(paper.Figure4(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +26,26 @@ func TestAnalyzeFigure4(t *testing.T) {
 	if !cats[race.Multithreaded] || !cats[race.CrossPosted] {
 		t.Fatalf("categories = %v", res.Races)
 	}
-	if res.Stats.Length != res.Trace.Len() || res.Graph == nil || res.Info == nil {
+	if res.Stats.Length != res.Trace.Len() || res.Info == nil {
 		t.Fatal("result incompletely populated")
+	}
+}
+
+// TestAnalyzeRejectsUnknownEngine pins that Options.Engine names only
+// the streaming engine: any other value is an error, never a silent
+// fallback.
+func TestAnalyzeRejectsUnknownEngine(t *testing.T) {
+	for _, eng := range []string{"", EngineStream} {
+		opts := DefaultOptions()
+		opts.Engine = eng
+		if _, err := Analyze(paper.Figure4(), opts); err != nil {
+			t.Errorf("engine %q: %v", eng, err)
+		}
+	}
+	opts := DefaultOptions()
+	opts.Engine = "graph"
+	if res, err := Analyze(paper.Figure4(), opts); err == nil || res != nil {
+		t.Fatalf("engine %q: res=%v err=%v, want an error and no result", opts.Engine, res, err)
 	}
 }
 
@@ -135,14 +151,8 @@ func TestStreamAnalysisCountsRaces(t *testing.T) {
 		return obs.Default().Counter("droidracer_races_total", "", "category", c.String())
 	}
 	mt, cp := counter(race.Multithreaded).Value(), counter(race.CrossPosted).Value()
-	opts := DefaultOptions()
-	opts.Engine = EngineStream
-	res, err := Analyze(paper.Figure4(), opts)
-	if err != nil {
+	if _, err := Analyze(paper.Figure4(), DefaultOptions()); err != nil {
 		t.Fatal(err)
-	}
-	if res.Engine != EngineStream || res.Graph != nil {
-		t.Fatalf("engine = %q, graph = %v; want a streaming analysis", res.Engine, res.Graph)
 	}
 	if got := counter(race.Multithreaded).Value() - mt; got != 1 {
 		t.Errorf("races_total{category=multithreaded} rose by %d, want 1", got)

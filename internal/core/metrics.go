@@ -7,18 +7,16 @@ import (
 
 // Analysis outcome counters, pre-registered per mode so the series set
 // is complete from process start. Modes mirror report.Outcome: full,
-// degraded (baseline fallback), partial (error alongside partial
-// results), error (including panics).
+// partial (error alongside partial results), error (including panics).
 var analysisCounters = map[string]*obs.Counter{}
 
 // raceCounters are Table 3's per-category race counts as live series,
 // pre-registered so a scrape sees the full classification (at zero)
-// before the first analysis. Counted once per analysis, whichever
-// engine (or the baseline fallback) produced the races.
+// before the first analysis. Counted once per analysis.
 var raceCounters [race.Unknown + 1]*obs.Counter
 
 func init() {
-	for _, mode := range []string{"full", "degraded", "partial", "error"} {
+	for _, mode := range []string{"full", "partial", "error"} {
 		analysisCounters[mode] = obs.Default().Counter("droidracer_analyses_total",
 			"Completed analyses, by outcome mode.", "mode", mode)
 	}
@@ -40,8 +38,6 @@ func publishAnalysis(res *Result, err error) {
 		mode = "partial"
 	case err != nil:
 		mode = "error"
-	case res != nil && res.Degraded:
-		mode = "degraded"
 	}
 	analysisCounters[mode].Inc()
 	if res == nil {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"droidracer/internal/hb"
 	"droidracer/internal/race"
 	"droidracer/internal/trace"
 )
@@ -37,8 +36,19 @@ type Explanation struct {
 	NearMisses []string
 }
 
-// Explain builds the explanation for r over the analyzed graph.
-func Explain(g *hb.Graph, r race.Race) Explanation {
+// Relation is the happens-before relation of one analyzed trace, as an
+// explanation queries it. The streaming engine's replay with recorded
+// clocks (*stream.Outcome) is the one racedet uses; the graph engine
+// (*hb.Graph) answers the same queries and serves as the test oracle.
+type Relation interface {
+	// Info returns the trace annotations the relation was computed on.
+	Info() *trace.Info
+	// OrderedLE reports αi ≼ αj, with ≼ reflexive.
+	OrderedLE(i, j int) bool
+}
+
+// Explain builds the explanation for r over the analyzed relation.
+func Explain(g Relation, r race.Race) Explanation {
 	info := g.Info()
 	tr := info.Trace()
 	e := Explanation{
@@ -140,7 +150,7 @@ func lastCrossPost(tr *trace.Trace, chain []PostStep, accessThread trace.ThreadI
 
 // nearMisses inspects the rules that could have ordered the racing pair
 // and reports exactly which premise failed.
-func nearMisses(g *hb.Graph, r race.Race) []string {
+func nearMisses(g Relation, r race.Race) []string {
 	info := g.Info()
 	tr := info.Trace()
 	var out []string
@@ -213,7 +223,7 @@ func delayedDetail(a, b trace.Op) string {
 
 // anyTaskOpReaches reports whether some operation of task p happens before
 // the operation at trace index j.
-func anyTaskOpReaches(g *hb.Graph, p trace.TaskID, j int) bool {
+func anyTaskOpReaches(g Relation, p trace.TaskID, j int) bool {
 	info := g.Info()
 	begin, end := info.BeginIdx(p), info.EndIdx(p)
 	if begin < 0 {

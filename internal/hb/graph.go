@@ -21,7 +21,6 @@ package hb
 
 import (
 	"droidracer/internal/bitset"
-	"droidracer/internal/budget"
 	"droidracer/internal/trace"
 )
 
@@ -96,10 +95,6 @@ type Graph struct {
 	// executions (e.g. a hand-written trace violating FIFO dispatch).
 	skipped int
 
-	// edges counts recorded ≼ pairs; the budget checker compares it
-	// against Limits.MaxClosureEdges during construction.
-	edges int
-
 	// ruleEdges attributes edges to the Figure 6–7 rule that derived
 	// them; baseST/baseMT count direct (non-closure) insertions per
 	// relation so the TRANS-* remainders can be computed afterwards.
@@ -107,102 +102,29 @@ type Graph struct {
 	baseST    int
 	baseMT    int
 
-	// edgeCount caches EdgeCount for completed builds (-1 = not yet
-	// computed; budget-tripped builds leave it unset and EdgeCount
-	// recomputes on demand, still allocation-free).
+	// edgeCount is the number of recorded ≼ pairs, counted once the
+	// fixpoint is done.
 	edgeCount int
-
-	// Budget enforcement during Build; both are nil/zero afterwards on
-	// the unbudgeted path.
-	ck       *budget.Checker
-	buildErr error
 }
 
 // Build computes the happens-before relation for the analyzed trace.
+// The reachability bitsets cost O(nodes²) bits: the analysis pipeline
+// does not call it (the streaming engine answers the same queries in
+// linear memory); racedet -dot, the STOnly ablation and the tests do.
 func Build(info *trace.Info, cfg Config) *Graph {
-	g, _ := BuildBudgeted(info, cfg, nil)
-	return g
-}
-
-// BuildBudgeted computes the happens-before relation under a budget: the
-// checker's wall clock and context are polled throughout construction,
-// MaxGraphNodes is enforced before the O(nodes²) reachability bitsets
-// are allocated (the primary OOM guard), and MaxClosureEdges bounds the
-// fixpoint. On a trip the partially closed graph built so far is
-// returned together with a *budget.Error; its relation is a sound
-// under-approximation of ≼, so reachability answers remain usable for
-// diagnostics, but race detection over it may report false positives —
-// callers must not scan it for races (core.AnalyzeContext replays the
-// trace on the streaming engine after a size trip and returns the
-// partial result with the error otherwise). A nil checker reproduces
-// Build exactly.
-func BuildBudgeted(info *trace.Info, cfg Config, ck *budget.Checker) (*Graph, error) {
-	g := &Graph{cfg: cfg, info: info, ck: ck, edgeCount: -1}
+	g := &Graph{cfg: cfg, info: info}
 	g.buildNodes()
 	n := len(g.nodes)
-	if err := ck.Nodes(n); err != nil {
-		g.buildErr = err
-	}
 	g.st = make([]*bitset.Set, n)
 	g.mt = make([]*bitset.Set, n)
 	for i := range g.nodes {
-		if !g.check() {
-			break
-		}
 		g.st[i] = bitset.New(n)
 		g.mt[i] = bitset.New(n)
 	}
-	if g.buildErr == nil {
-		g.addBaseEdges()
-		g.fixpoint()
-	}
-	err := g.buildErr
-	g.ck, g.buildErr = nil, nil
-	if err != nil {
-		// Rows never allocated (budget tripped mid-allocation) share one
-		// empty set so the partial graph stays safe to query without
-		// paying the O(n²) allocation the budget just prevented. The
-		// graph is immutable after Build, so sharing is safe.
-		empty := bitset.New(n)
-		for i := range g.nodes {
-			if g.st[i] == nil {
-				g.st[i] = empty
-			}
-			if g.mt[i] == nil {
-				g.mt[i] = empty
-			}
-		}
-	}
-	if err == nil {
-		// Attribute closure edges only for completed builds: the Count
-		// pass is O(nodes²/64) — trivial next to a finished fixpoint,
-		// but not next to a build the budget stopped almost immediately.
-		// Base-rule counts are exact either way; an abandoned closure's
-		// TRANS-* contribution stays 0.
-		g.finalizeRuleCounts()
-	}
-	g.publishMetrics()
-	return g, err
-}
-
-// check polls the budget during construction, recording the first trip
-// in buildErr. It reports whether construction may continue.
-func (g *Graph) check() bool {
-	if g.buildErr != nil {
-		return false
-	}
-	if g.ck == nil {
-		return true
-	}
-	if err := g.ck.Check(); err != nil {
-		g.buildErr = err
-		return false
-	}
-	if err := g.ck.Edges(g.edges); err != nil {
-		g.buildErr = err
-		return false
-	}
-	return true
+	g.addBaseEdges()
+	g.fixpoint()
+	g.finalizeRuleCounts()
+	return g
 }
 
 // buildNodes partitions trace operations into graph nodes, merging
@@ -251,20 +173,8 @@ func (g *Graph) Info() *trace.Info { return g.info }
 func (g *Graph) Skipped() int { return g.skipped }
 
 // EdgeCount returns the number of recorded ≼ pairs (st plus mt, counting a
-// pair once if present in both). Completed builds answer from a count
-// cached during finalization; partial (budget-tripped) graphs recompute
-// on demand. Either way the count is allocation-free — metrics publish
-// calls this per scrape, so it must not clone a bitset per row.
-func (g *Graph) EdgeCount() int {
-	if g.edgeCount >= 0 {
-		return g.edgeCount
-	}
-	total := 0
-	for i := range g.nodes {
-		total += g.st[i].UnionCount(g.mt[i])
-	}
-	return total
-}
+// pair once if present in both).
+func (g *Graph) EdgeCount() int { return g.edgeCount }
 
 // HappensBefore reports whether the operation at trace index i happens
 // before the operation at trace index j (αi ≼ αj). Operations within one
@@ -317,7 +227,6 @@ func (g *Graph) addST(a, b int, r Rule) bool {
 		return false
 	}
 	g.st[a].Set(b)
-	g.edges++
 	g.ruleEdges[r]++
 	g.baseST++
 	return true
@@ -338,7 +247,6 @@ func (g *Graph) addMT(a, b int, r Rule) bool {
 		return false
 	}
 	g.mt[a].Set(b)
-	g.edges++
 	g.ruleEdges[r]++
 	g.baseMT++
 	return true

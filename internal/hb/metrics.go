@@ -1,7 +1,5 @@
 package hb
 
-import "droidracer/internal/obs"
-
 // Rule identifies the Figure 6–7 happens-before rule that contributed
 // an edge. Base rules are counted exactly at their addST/addMT call
 // sites; the transitive closures (TRANS-ST, TRANS-MT) are attributed by
@@ -51,37 +49,6 @@ func (r Rule) String() string {
 		return ruleNames[r]
 	}
 	return "unknown"
-}
-
-// Build metrics. The per-rule counters are pre-registered for every
-// rule at init so a scrape sees the full Figure 6–7 rule set (at zero)
-// before the first trace is analyzed.
-var (
-	edgeCounters = func() (c [numRules]*obs.Counter) {
-		for r := Rule(0); r < numRules; r++ {
-			c[r] = obs.Default().Counter("droidracer_hb_edges_total",
-				"Happens-before edges recorded, by Figure 6-7 rule.",
-				"rule", r.String())
-		}
-		return
-	}()
-	graphNodes = obs.Default().Gauge("droidracer_hb_graph_nodes",
-		"Nodes in the most recently built happens-before graph (after merging).")
-	skippedTotal = obs.Default().Counter("droidracer_hb_skipped_edges_total",
-		"Rule instances dropped because they would order a later op before an earlier one.")
-)
-
-// publishMetrics records one finished build into the process-wide
-// registry. Called once per Build, never in the hot loops.
-func (g *Graph) publishMetrics() {
-	if !obs.ExporterAttached() {
-		return
-	}
-	graphNodes.Set(int64(len(g.nodes)))
-	skippedTotal.Add(g.skipped)
-	for r := Rule(0); r < numRules; r++ {
-		edgeCounters[r].Add(g.ruleEdges[r])
-	}
 }
 
 // RuleEdges returns the edge count attributed to each rule for this

@@ -45,9 +45,6 @@ func (g *Graph) addBaseEdges() {
 	for t, ops := range opsOn {
 		loop := g.info.LoopIdx(t)
 		for k := 0; k+1 < len(ops); k++ {
-			if !g.check() {
-				return
-			}
 			a, b := ops[k], ops[k+1]
 			switch {
 			case g.cfg.WholeThreadPO, loop < 0, a <= loop:
@@ -76,9 +73,6 @@ func (g *Graph) addBaseEdges() {
 	for i, op := range tr.Ops() {
 		if op.Kind != trace.OpPost {
 			continue
-		}
-		if !g.check() {
-			return
 		}
 		if g.cfg.EnableEdges {
 			if e := g.info.EnableIdx(op.Task); e >= 0 {
@@ -124,9 +118,6 @@ func (g *Graph) addBaseEdges() {
 	for l, rels := range releases {
 		acqs := acquires[l]
 		for _, r := range rels {
-			if !g.check() {
-				return
-			}
 			for _, a := range acqs {
 				if a < r {
 					continue
@@ -172,7 +163,7 @@ func (g *Graph) fixpoint() {
 	for i := 0; i < n; i++ {
 		dirty.Set(i)
 	}
-	for dirty.Any() && g.check() {
+	for dirty.Any() {
 		next := bitset.New(n)
 		g.closeST(dirty, next)
 		if !g.cfg.STOnly {
@@ -197,16 +188,9 @@ func needsWork(i int, row *bitset.Set, dirty, next *bitset.Set) bool {
 // whose successors did not change are skipped.
 func (g *Graph) closeST(dirty, next *bitset.Set) {
 	for i := len(g.nodes) - 1; i >= 0; i-- {
-		if !g.check() {
-			return
-		}
 		row := g.st[i]
 		if !needsWork(i, row, dirty, next) {
 			continue
-		}
-		before := 0
-		if g.ck != nil {
-			before = row.Count()
 		}
 		changed := false
 		for k := row.NextSet(i + 1); k != -1; k = row.NextSet(k + 1) {
@@ -216,9 +200,6 @@ func (g *Graph) closeST(dirty, next *bitset.Set) {
 		}
 		if changed {
 			next.Set(i)
-			if g.ck != nil {
-				g.edges += row.Count() - before
-			}
 		}
 	}
 }
@@ -233,9 +214,6 @@ func (g *Graph) closeMT(dirty, next *bitset.Set) {
 	row := bitset.New(n) // combined ≼ row of node i
 	acc := bitset.New(n) // union of ≼ rows of i's successors
 	for i := n - 1; i >= 0; i-- {
-		if !g.check() {
-			return
-		}
 		row.Reset()
 		row.UnionWith(g.st[i])
 		row.UnionWith(g.mt[i])
@@ -257,7 +235,6 @@ func (g *Graph) closeMT(dirty, next *bitset.Set) {
 			}
 			if g.cfg.Naive || g.nodes[j].Thread != ti {
 				g.mt[i].Set(j)
-				g.edges++
 				next.Set(i)
 			}
 		}
@@ -306,9 +283,6 @@ func (g *Graph) applyTaskRules(next *bitset.Set) {
 
 	for _, tasks := range tasksOn {
 		for x := 0; x < len(tasks); x++ {
-			if !g.check() {
-				return
-			}
 			p1 := tasks[x]
 			endIdx := g.info.EndIdx(p1)
 			if endIdx < 0 {

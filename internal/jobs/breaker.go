@@ -11,9 +11,9 @@ import (
 )
 
 // RetryPolicy bounds re-execution of failed job attempts. Retries target
-// transient failures — scheduling-dependent divergence, a deadline that
-// barely tripped under load — while the circuit breaker (BreakerPolicy)
-// catches inputs that fail deterministically.
+// transient failures such as scheduling-dependent divergence, while the
+// circuit breaker (BreakerPolicy) catches inputs that fail
+// deterministically.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per job (minimum and
 	// default 1: no retry).
@@ -24,7 +24,8 @@ type RetryPolicy struct {
 	// Seed seeds the backoff jitter (default 1).
 	Seed int64
 	// Retryable decides whether an error is worth another attempt. The
-	// default retries everything except explicit cancellation.
+	// default retries everything except explicit cancellation, deadline
+	// trips and deterministic failures.
 	Retryable func(error) bool
 	// Sleep replaces the interruptible pause in tests.
 	Sleep func(time.Duration)
@@ -47,7 +48,13 @@ func (r RetryPolicy) withDefaults() RetryPolicy {
 				return false
 			}
 			be, ok := budget.AsError(err)
-			return !ok || !be.Canceled()
+			if !ok {
+				return true
+			}
+			// A deadline trip would trip again: the next attempt runs
+			// under the same deadline.
+			return !be.Canceled() && be.Resource != budget.ResourceWallClock &&
+				!errors.Is(be.Cause, context.DeadlineExceeded)
 		}
 	}
 	return r

@@ -102,7 +102,7 @@ type campaignHeader struct {
 
 type testEntry struct {
 	Key   string   `json:"key"`
-	Mode  string   `json:"mode"` // "full", "degraded", "error"
+	Mode  string   `json:"mode"` // "full", "error"
 	Races []RaceID `json:"races,omitempty"`
 	Err   string   `json:"err,omitempty"`
 }
@@ -323,9 +323,6 @@ func analyzeTest(ctx context.Context, opts core.Options, t *explorer.Test) testE
 			entry.Err = err.Error()
 		}
 		return entry
-	}
-	if res.Degraded {
-		entry.Mode = "degraded"
 	}
 	entry.Races = raceIDs(res)
 	return entry

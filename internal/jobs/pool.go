@@ -188,7 +188,7 @@ func NewPool(cfg Config) *Pool {
 // compiles. The next change to the serve-path benchmark, its last
 // caller, deletes it.
 //
-// Deprecated: ignored. Use core.EngineStream for a fast analysis.
+// Deprecated: ignored; every analysis is serial.
 func (p *Pool) JobParallelism() int { return 1 }
 
 // Submit enqueues a job. It never blocks: when the queue is full or the
@@ -339,13 +339,12 @@ func (p *Pool) record(out report.Outcome) {
 
 // retained is the copy of out the pool keeps for Outcomes for the rest
 // of its lifetime. The report reads only the races, phases and mode, so
-// the copy drops the trace, its annotations and the happens-before
-// graph (n² closure bits under the graph engine). OnFinish still sees
-// the full result.
+// the copy drops the trace and its annotations. OnFinish still sees the
+// full result.
 func retained(out report.Outcome) report.Outcome {
 	if out.Result != nil {
 		r := *out.Result
-		r.Trace, r.Info, r.Graph = nil, nil, nil
+		r.Trace, r.Info = nil, nil
 		out.Result = &r
 	}
 	return out
@@ -572,12 +571,10 @@ type JobEntry struct {
 }
 
 // OutcomeMode renders the outcome's analysis disposition for journaling:
-// "full", "degraded", "partial", or "error" (supervisor states are not
-// journaled — a drained or shed job is still pending).
+// "full", "partial", or "error" (supervisor states are not journaled —
+// a drained or shed job is still pending).
 func OutcomeMode(out report.Outcome) string {
 	switch {
-	case out.Result != nil && out.Result.Degraded:
-		return "degraded"
 	case out.Err != nil && out.Result != nil:
 		return "partial"
 	case out.Err != nil:

@@ -120,6 +120,23 @@ func TestRetryWithBackoffThenSuccess(t *testing.T) {
 	}
 }
 
+// TestDeadlineTripIsNotRetried pins that a job whose wall-clock budget
+// ran out gets no second attempt: it would run under the same deadline
+// and trip again, costing a full attempt plus the backoff.
+func TestDeadlineTripIsNotRetried(t *testing.T) {
+	attempts := 0
+	p := NewPool(Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 2}})
+	p.Submit(Job{Name: "slow", Run: func(context.Context, budget.Limits) (*core.Result, error) {
+		attempts++
+		return &core.Result{}, &budget.Error{Stage: "stream-replay", Resource: budget.ResourceWallClock}
+	}})
+	p.Quiesce()
+	out := outcomesByName(p.Shutdown(context.Background()))["slow"]
+	if out.Attempts != 1 || attempts != 1 {
+		t.Fatalf("deadline trip ran %d attempt(s) (outcome %+v), want 1", attempts, out)
+	}
+}
+
 func TestCancellationIsNotRetried(t *testing.T) {
 	attempts := 0
 	p := NewPool(Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 5}})
@@ -388,17 +405,15 @@ func writeTestTrace(t *testing.T, dir string) string {
 	return path
 }
 
-// TestPoolRetainsSlimOutcomes pins that a finished job's trace,
-// annotations and happens-before graph do not live as long as the pool:
+// TestPoolRetainsSlimOutcomes pins that a finished job's trace and
+// annotations do not live as long as the pool:
 // OnFinish sees the full result, while the outcome the pool keeps for
 // its report holds only what the report reads, and renders the same.
 func TestPoolRetainsSlimOutcomes(t *testing.T) {
 	var seen report.Outcome
 	p := NewPool(Config{Workers: 1, OnFinish: func(out report.Outcome) { seen = out }})
-	opts := core.DefaultOptions()
-	opts.Engine = core.EngineGraph
 	err := p.Submit(Job{Name: "figure4", Run: func(ctx context.Context, _ budget.Limits) (*core.Result, error) {
-		return core.AnalyzeContext(ctx, paper.Figure4(), opts)
+		return core.AnalyzeContext(ctx, paper.Figure4(), core.DefaultOptions())
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -406,11 +421,11 @@ func TestPoolRetainsSlimOutcomes(t *testing.T) {
 	p.Quiesce()
 	kept := outcomesByName(p.Shutdown(context.Background()))["figure4"]
 	full := seen.Result
-	if full == nil || full.Trace == nil || full.Info == nil || full.Graph == nil {
-		t.Fatalf("OnFinish saw %+v, want the full result with its trace, info and graph", full)
+	if full == nil || full.Trace == nil || full.Info == nil {
+		t.Fatalf("OnFinish saw %+v, want the full result with its trace and info", full)
 	}
-	if kept.Result == nil || kept.Result.Trace != nil || kept.Result.Info != nil || kept.Result.Graph != nil {
-		t.Fatalf("retained result %+v still holds the trace, info or graph", kept.Result)
+	if kept.Result == nil || kept.Result.Trace != nil || kept.Result.Info != nil {
+		t.Fatalf("retained result %+v still holds the trace or info", kept.Result)
 	}
 	if len(kept.Result.Races) != len(full.Races) || len(kept.Result.Races) == 0 {
 		t.Fatalf("retained %d races, OnFinish saw %d", len(kept.Result.Races), len(full.Races))

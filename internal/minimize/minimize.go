@@ -13,7 +13,10 @@
 //
 // A candidate removal is kept only when the reduced trace is still a
 // valid execution (Figure 5) and the race — identified structurally via
-// race.AccessKey, not by position — is still reported.
+// race.AccessKey, not by position — is still reported. The race check
+// and the final classification replay each candidate on the streaming
+// engine with recorded clocks; MinimizeWith accepts another
+// happens-before oracle (the graph engine, in the tests).
 package minimize
 
 import (
@@ -22,6 +25,7 @@ import (
 	"droidracer/internal/hb"
 	"droidracer/internal/race"
 	"droidracer/internal/semantics"
+	"droidracer/internal/stream"
 	"droidracer/internal/trace"
 )
 
@@ -35,9 +39,29 @@ type Result struct {
 	Removed int
 }
 
+// Order computes the happens-before relation of one analyzed trace
+// under cfg, as a reflexive αi ≼ αj predicate.
+type Order func(info *trace.Info, cfg hb.Config) (func(i, j int) bool, error)
+
+// streamOrder replays the trace on the streaming engine with recorded
+// clocks. It fails only for configurations the streaming engine does
+// not support (the STOnly ablation).
+func streamOrder(info *trace.Info, cfg hb.Config) (func(i, j int) bool, error) {
+	out, err := stream.Run(info, stream.Options{HB: cfg, RecordClocks: true}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out.OrderedLE, nil
+}
+
 // Minimize reduces tr while preserving r (which must be a race detected
 // on tr under cfg).
 func Minimize(tr *trace.Trace, r race.Race, cfg hb.Config) (*Result, error) {
+	return MinimizeWith(tr, r, cfg, streamOrder)
+}
+
+// MinimizeWith is Minimize over the given happens-before oracle.
+func MinimizeWith(tr *trace.Trace, r race.Race, cfg hb.Config, order Order) (*Result, error) {
 	info, err := trace.Analyze(tr)
 	if err != nil {
 		return nil, err
@@ -50,7 +74,7 @@ func Minimize(tr *trace.Trace, r race.Race, cfg hb.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &minimizer{cfg: cfg, keyA: keyA, keyB: keyB}
+	m := &minimizer{cfg: cfg, order: order, keyA: keyA, keyB: keyB}
 	if !m.racePresent(tr) {
 		return nil, fmt.Errorf("minimize: the given race is not present in the trace")
 	}
@@ -79,18 +103,22 @@ func Minimize(tr *trace.Trace, r race.Race, cfg hb.Config) (*Result, error) {
 	if second < first {
 		first, second = second, first
 	}
-	g := hb.Build(info, m.cfg)
+	le, err := order(info, cfg)
+	if err != nil {
+		return nil, err
+	}
 	out := race.Race{
 		First:    first,
 		Second:   second,
 		Loc:      keyA.Loc,
-		Category: race.NewDetector(g).Classify(first, second),
+		Category: race.NewClassifier(info, le).Classify(first, second),
 	}
 	return &Result{Trace: cur, Race: out, Removed: tr.Len() - cur.Len()}, nil
 }
 
 type minimizer struct {
 	cfg        hb.Config
+	order      Order
 	keyA, keyB race.AccessKey
 }
 
@@ -110,8 +138,11 @@ func (m *minimizer) racePresent(tr *trace.Trace) bool {
 	if !tr.Op(a).Conflicts(tr.Op(b)) {
 		return false
 	}
-	g := hb.Build(info, m.cfg)
-	return !g.HappensBefore(a, b) && !g.HappensBefore(b, a)
+	le, err := m.order(info, m.cfg)
+	if err != nil {
+		return false
+	}
+	return !le(a, b) && !le(b, a)
 }
 
 // try returns candidate when it is a valid reduction preserving the race,

@@ -30,8 +30,8 @@ type Phases struct {
 // NewPhases returns a collector publishing into the default registry.
 func NewPhases() *Phases {
 	// Capacity for the full pipeline (parse, validate, annotate,
-	// happens-before, race-scan, degrade) without growing.
-	return &Phases{reg: Default(), timings: make([]PhaseTiming, 0, 6)}
+	// stream-replay) without growing.
+	return &Phases{reg: Default(), timings: make([]PhaseTiming, 0, 4)}
 }
 
 // NewPhasesIn returns a collector publishing into reg (tests).

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"droidracer/internal/budget"
 	"droidracer/internal/hb"
 	"droidracer/internal/trace"
 )
@@ -84,16 +83,6 @@ func NewDetector(g *hb.Graph) *Detector {
 // Detect returns every race witnessed in the trace, in order of (First,
 // Second). This is the paper's exhaustive offline analysis.
 func (d *Detector) Detect() []Race {
-	races, _ := d.DetectBudgeted(nil)
-	return races
-}
-
-// DetectBudgeted is Detect under a budget: the checker is polled once per
-// candidate access pair. On a trip the races found so far are returned
-// (sorted as usual) together with a *budget.Error; the partial list is
-// sound — every entry is a real race under the supplied graph — but may
-// miss races among unscanned pairs. A nil checker reproduces Detect.
-func (d *Detector) DetectBudgeted(ck *budget.Checker) ([]Race, error) {
 	tr := d.info.Trace()
 	byLoc := make(map[trace.Loc][]int)
 	for i, op := range tr.Ops() {
@@ -102,16 +91,10 @@ func (d *Detector) DetectBudgeted(ck *budget.Checker) ([]Race, error) {
 		}
 	}
 	var races []Race
-	var tripErr error
-scan:
 	for loc, accs := range byLoc {
 		for x := 0; x < len(accs); x++ {
 			a := accs[x]
 			for y := x + 1; y < len(accs); y++ {
-				if err := ck.Check(); err != nil {
-					tripErr = err
-					break scan
-				}
 				b := accs[y]
 				if !tr.Op(a).Conflicts(tr.Op(b)) {
 					continue
@@ -129,7 +112,7 @@ scan:
 		}
 		return races[i].Second < races[j].Second
 	})
-	return races, tripErr
+	return races
 }
 
 // DetectDeduped returns one representative race per (location, category),
@@ -138,21 +121,13 @@ scan:
 // one of them." The representative is the earliest by trace position, so
 // reports are deterministic.
 func (d *Detector) DetectDeduped() []Race {
-	races, _ := d.DetectDedupedBudgeted(nil)
-	return races
-}
-
-// DetectDedupedBudgeted is DetectDeduped under a budget; see
-// DetectBudgeted for partial-result semantics.
-func (d *Detector) DetectDedupedBudgeted(ck *budget.Checker) ([]Race, error) {
-	all, err := d.DetectBudgeted(ck)
 	type key struct {
 		loc trace.Loc
 		cat Category
 	}
 	seen := make(map[key]bool)
 	var out []Race
-	for _, r := range all {
+	for _, r := range d.Detect() {
 		k := key{r.Loc, r.Category}
 		if seen[k] {
 			continue
@@ -160,7 +135,7 @@ func (d *Detector) DetectDedupedBudgeted(ck *budget.Checker) ([]Race, error) {
 		seen[k] = true
 		out = append(out, r)
 	}
-	return out, err
+	return out
 }
 
 // Classify categorizes the race between the operations at trace indices a

@@ -12,8 +12,8 @@ import (
 )
 
 // Outcome is one analyzed trace's final state as the hardened pipeline
-// leaves it: a full result, a degraded result, a partial result with a
-// budget error, or a bare error. Every combination renders to a row —
+// leaves it: a full result, a partial result with a budget error, or a
+// bare error. Every combination renders to a row —
 // the "always produce a report" guarantee at the reporting layer.
 type Outcome struct {
 	// Name labels the trace or app.
@@ -61,15 +61,13 @@ const (
 
 // mode summarizes how the outcome's analysis ended. Supervisor states
 // replace the analysis mode (those jobs have no verdict); retry and
-// resume annotate it, e.g. "full+retried" or "degraded+resumed".
+// resume annotate it, e.g. "full+retried" or "partial+resumed".
 func (o Outcome) mode() string {
 	if o.JobState != "" {
 		return o.JobState
 	}
 	m := ""
 	switch {
-	case o.Result != nil && o.Result.Degraded:
-		m = "degraded"
 	case o.Err != nil && o.Result != nil:
 		m = "partial"
 	case o.Err != nil:
@@ -90,9 +88,6 @@ func (o Outcome) mode() string {
 // stage, or the error text.
 func (o Outcome) detail() string {
 	err := o.Err
-	if err == nil && o.Result != nil {
-		err = o.Result.DegradedReason
-	}
 	if err == nil {
 		return ""
 	}
@@ -107,10 +102,9 @@ func (o Outcome) detail() string {
 }
 
 // Pipeline renders one row per outcome: name, mode
-// (full/degraded/partial/error), race count, and the reason. Degraded
-// rows keep their (exact, stream-engine) race counts and partial rows
-// their incomplete ones, so a budget-limited batch still yields a
-// usable report. When any outcome
+// (full/partial/error), race count, and the reason. Partial rows keep
+// their incomplete race counts, so a budget-limited batch still yields
+// a usable report. When any outcome
 // carries per-phase timings a Time column is added (total analysis
 // wall-clock per row); reports without timings render exactly as
 // before.

@@ -44,22 +44,8 @@ func TestPipelineRoundTripsEveryOutcome(t *testing.T) {
 	}
 	outcomes = append(outcomes, report.Outcome{Name: "figure4-full", Result: full, Err: nil})
 
-	// Degraded analysis: a graph node cap hands the trace to the
-	// stream engine.
-	opts := core.DefaultOptions()
-	opts.Engine = core.EngineGraph
-	opts.Budget = core.Budget{MaxGraphNodes: 100}
-	deg, err := core.Analyze(bigTrace(2000), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !deg.Degraded {
-		t.Fatal("expected degraded result")
-	}
-	outcomes = append(outcomes, report.Outcome{Name: "big-degraded", Result: deg})
-
 	// Partial result with a budget error: a deadline.
-	opts = core.DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.Budget = core.Budget{Wall: 30 * time.Millisecond}
 	partial, perr := core.Analyze(bigTrace(25000), opts)
 	if _, ok := budget.AsError(perr); !ok || partial == nil {
@@ -90,7 +76,6 @@ func TestPipelineRoundTripsEveryOutcome(t *testing.T) {
 	out := report.Pipeline(outcomes)
 	for _, want := range []string{
 		"figure4-full", "full",
-		"big-degraded", "degraded", "budget: graph-nodes",
 		"big-partial", "partial", "budget: wall-clock",
 		"bad-error", "error",
 		"job-queued", "queued",
@@ -102,8 +87,7 @@ func TestPipelineRoundTripsEveryOutcome(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
-	// The full row reports the paper's races; the degraded row still has
-	// a numeric count column (possibly 0), not a crash.
+	// The full row reports the paper's races.
 	if len(full.Races) == 0 {
 		t.Fatal("figure4 should report races")
 	}
@@ -124,16 +108,16 @@ func TestPipelineAnnotatesRetriedAndResumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded := &core.Result{Degraded: true, DegradedReason: &budget.Error{Resource: budget.ResourceGraphNodes}}
+	partial := &budget.Error{Resource: budget.ResourceWallClock}
 	out := report.Pipeline([]report.Outcome{
 		{Name: "retried", Result: full, Attempts: 3},
 		{Name: "resumed", Result: full, Resumed: true},
-		{Name: "both", Result: degraded, Attempts: 2, Resumed: true},
+		{Name: "both", Result: &core.Result{}, Err: partial, Attempts: 2, Resumed: true},
 	})
 	for _, want := range []string{
 		"full+retried",
 		"full+resumed",
-		"degraded+retried+resumed",
+		"partial+retried+resumed",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)

@@ -129,8 +129,7 @@ type Config struct {
 	Spool string
 	// Analyze is the base analysis configuration for accepted jobs; a
 	// request's X-Analysis-Deadline can only tighten its wall budget.
-	// Its Engine must be empty or core.EngineStream: the daemon serves
-	// the streaming engine only, the one admission prices.
+	// Its Engine must be empty or core.EngineStream.
 	Analyze core.Options
 	// Workers is the pool's worker count, used to derive Retry-After
 	// from queue depth (default 1).
@@ -241,11 +240,11 @@ type Server struct {
 // New builds a server over cfg, seeding the idempotency index from the
 // recovered journal records. Wire JobFinished as the pool's OnFinish
 // hook so completions (and quarantines) update the index. It panics
-// when cfg.Analyze selects an engine other than stream: only the
-// streaming engine is served and priced.
+// when cfg.Analyze names an engine other than stream, which every job
+// would fail on.
 func New(cfg Config) *Server {
-	if eng, err := core.NormalizeEngine(cfg.Analyze.Engine); err != nil || eng != core.EngineStream {
-		panic(fmt.Sprintf("server: cannot serve analysis engine %q; racedetd serves %q only", cfg.Analyze.Engine, core.EngineStream))
+	if _, err := core.NormalizeEngine(cfg.Analyze.Engine); err != nil {
+		panic(fmt.Sprintf("server: %v", err))
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1

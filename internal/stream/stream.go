@@ -52,9 +52,10 @@ type Options struct {
 	// Dedup reports one representative race per (location, category) —
 	// the same representative DetectDeduped picks.
 	Dedup bool
-	// RecordClocks retains per-operation view snapshots so tests can
-	// query arbitrary op pairs via Outcome.OrderedLE and Outcome.Clocks.
-	// Costs O(ops × clock width) memory; leave off outside tests.
+	// RecordClocks retains per-operation view snapshots so explanations,
+	// minimization and tests can query arbitrary op pairs via
+	// Outcome.OrderedLE and Outcome.Clocks. Costs O(ops × clock width)
+	// memory; the analysis pipeline leaves it off.
 	RecordClocks bool
 }
 
@@ -93,7 +94,7 @@ type Outcome struct {
 
 // Run replays the trace under the given options. On a budget trip the
 // partial (still sound) race set found so far is returned together with
-// the *budget.Error, mirroring the graph engine's contract.
+// the *budget.Error.
 func Run(info *trace.Info, opts Options, ck *budget.Checker) (*Outcome, error) {
 	if opts.HB.STOnly {
 		return nil, ErrSTOnly
@@ -113,6 +114,9 @@ func Run(info *trace.Info, opts Options, ck *budget.Checker) (*Outcome, error) {
 	publishReplay(out)
 	return out, err
 }
+
+// Info returns the trace annotations the replay ran over.
+func (o *Outcome) Info() *trace.Info { return o.info }
 
 // OrderedLE reports αi ≼ αj over the replayed relation, decomposed
 // exactly as the graph's OrderedLE for the pairs race analysis queries.

@@ -273,10 +273,10 @@ func TestRuleTransfers(t *testing.T) {
 				trace.ThreadInit(2), // 3
 				trace.Write(2, "x"), // 4
 				trace.Post(2, "p", 1),
-				trace.Begin(1, "p"),    // 6
-				trace.Write(1, "x"),    // 7
-				trace.End(1, "p"),      // 8
-				trace.ThreadExit(2),    // 9
+				trace.Begin(1, "p"), // 6
+				trace.Write(1, "x"), // 7
+				trace.End(1, "p"),   // 8
+				trace.ThreadExit(2), // 9
 			},
 			ordered:   []pair{{4, 7}, {5, 6}, {2, 6}},
 			unordered: []pair{{7, 9}},

@@ -48,5 +48,5 @@ func (v VC) JoinEpoch(e Epoch) bool {
 }
 
 // Covers reports o ≤ v pointwise — the containment test the shadow
-//-memory fast path runs against per-location summary clocks.
+// -memory fast path runs against per-location summary clocks.
 func (v VC) Covers(o VC) bool { return o.LessEq(v) }
